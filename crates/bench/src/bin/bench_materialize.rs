@@ -97,8 +97,13 @@ fn main() {
     let shard_path = dir.join("materialize.csbshards");
     let t = Instant::now();
     let (store_edges, store_threads) = with_pool(pool_width, || {
-        let mut sink = csb_store::ShardedGraphSink::create(&shard_path, store_shards, store_codec)
-            .expect("shard sink");
+        let layout = csb_store::ShardedLayout::create(
+            &shard_path,
+            csb_store::FileKind::Graph,
+            store_shards,
+            store_codec,
+        );
+        let mut sink = csb_store::StoreSink::new(layout.expect("shard layout"));
         let edges = csb_core::stream::attach_properties_to_sink(
             &topo,
             &seed.analysis.properties,

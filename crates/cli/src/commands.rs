@@ -591,9 +591,9 @@ fn veracity_cmd(args: &Args) -> Result<()> {
             )));
         };
         for path in [seed_path, synth_path] {
-            // open_scan dispatches on magic: plain store file or sharded set.
+            // The scan dispatches on magic: plain store file or sharded set.
             use csb_graph::ooc::EdgeScan;
-            let mut scan = csb_store::open_scan(path)?;
+            let mut scan = csb_store::ShardedScan::open(path)?;
             println!("store {path}: {}v/{}e", scan.vertex_count()?, scan.edge_count()?);
         }
         let report = cfg.job().seed_store(seed_path).synthetic_store(synth_path).run()?;

@@ -186,7 +186,7 @@ pub(crate) fn compare_cmd(args: &Args) -> Result<()> {
     // Pre-generated stores join the lineup, scored out of core.
     for (name, path) in &extra {
         use csb_graph::ooc::EdgeScan;
-        let mut scan = csb_store::open_scan(path)?;
+        let mut scan = csb_store::ShardedScan::open(path)?;
         let (nv, ne) = (scan.vertex_count()?, scan.edge_count()?);
         drop(scan);
         let report = cfg.job().seed_graph(&seed_graph).synthetic_store(path).run()?;

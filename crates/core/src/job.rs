@@ -52,10 +52,9 @@ use crate::topo::{attach_properties, Topology};
 use csb_engine::{JobMetrics, RetryPolicy};
 use csb_graph::NetflowGraph;
 use csb_stats::rng::derive_seed;
-use csb_store::checkpoint::{CheckpointIdentity, CheckpointManifest, CheckpointedGraphSink};
-use csb_store::shard::{CheckpointedShardedGraphSink, ShardedCheckpointManifest, ShardedGraphSink};
-use csb_store::sink::GraphStoreSink;
-use csb_store::{Compression, CsbError, EdgeSink};
+use csb_store::checkpoint::{CheckpointIdentity, CheckpointManifest, CheckpointedLayout};
+use csb_store::sink::{Layout, StoreSink};
+use csb_store::{Compression, CsbError, EdgeSink, FileKind, ShardedLayout, StoreWriter};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -145,7 +144,7 @@ struct CheckpointOpts {
 }
 
 /// Store layout options of a `.store()` run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct StoreOpts {
     shards: usize,
     compression: Compression,
@@ -522,115 +521,69 @@ impl<'a, 's> GenJob<'a, 's> {
         resume: bool,
         kill: Option<(u64, bool)>,
     ) -> Result<GenRun, CsbError> {
-        let generator = self.config.generator_name();
         if self.cancelled() {
             return Err(CsbError::Transient("preempted: cancel flag set before grow".into()));
         }
         let (topo, metrics, grow) = self.grow();
-        let (ips, attach_seed) = self.attach_params();
-        let model = &self.seed.analysis.properties;
         if self.cancelled() && self.ckpt.dir.is_none() {
-            // Checkpointed runs defer to the sink's chunk-boundary check,
+            // Checkpointed runs defer to the layout's chunk-boundary check,
             // which takes a durable barrier first.
             return Err(CsbError::Transient("preempted: cancel flag set before attach".into()));
         }
         csb_obs::status::set_phase("attach");
 
-        let shards = self.store_opts.shards;
-        let compression = self.store_opts.compression;
-        let (edges, attach) = match (&self.ckpt.dir, shards) {
-            (None, 0..=1) => {
-                let mut sink = match self.ckpt.chunk_records {
-                    Some(n) => {
-                        GraphStoreSink::create_with(path, compression)?.with_chunk_records(n)
-                    }
-                    None => GraphStoreSink::create_with(path, compression)?,
-                };
-                let t1 = Instant::now();
-                let edges = attach_properties_to_sink(&topo, model, &ips, attach_seed, &mut sink)?;
-                sink.finish()?;
-                (edges, t1.elapsed())
-            }
-            (None, n_shards) => {
-                let mut sink = ShardedGraphSink::create(path, n_shards, compression)?;
-                if let Some(n) = self.ckpt.chunk_records {
-                    sink = sink.with_chunk_records(n);
-                }
-                let t1 = Instant::now();
-                let edges = attach_properties_to_sink(&topo, model, &ips, attach_seed, &mut sink)?;
-                sink.finish()?;
-                (edges, t1.elapsed())
-            }
-            (Some(dir), 0..=1) => {
-                if compression != Compression::None {
-                    return Err(CsbError::Config(
-                        "columnar compression on a checkpointed run requires sharding \
-                         (.shards(n >= 2)); the single-file checkpointed sink writes v1"
-                            .into(),
-                    ));
-                }
+        let StoreOpts { shards, compression } = self.store_opts;
+        let (edges, attach) = match &self.ckpt.dir {
+            Some(dir) => {
                 let resuming = resume && CheckpointManifest::exists(dir);
-                let mut sink = if resuming {
-                    CheckpointedGraphSink::resume(path, dir, identity.clone())?
-                } else {
-                    let mut s = CheckpointedGraphSink::create(path, dir, identity.clone())?;
-                    if let Some(n) = self.ckpt.chunk_records {
-                        s = s.with_chunk_records(n);
-                    }
-                    s
-                };
+                let open =
+                    if resuming { CheckpointedLayout::resume } else { CheckpointedLayout::create };
+                let mut layout = open(path, dir, identity.clone(), shards, compression)?;
                 if let Some(every) = self.ckpt.every {
-                    sink = sink.with_checkpoint_every(every);
+                    layout = layout.with_checkpoint_every(every);
                 }
                 if let Some((n, abort)) = kill {
-                    sink = sink.with_kill_after_chunks(n, abort);
+                    layout = layout.with_kill_after_chunks(n, abort);
                 }
                 if let Some(flag) = &self.cancel {
-                    sink = sink.with_stop_flag(Arc::clone(flag));
+                    layout = layout.with_stop_flag(Arc::clone(flag));
                 }
                 let _replay = resuming.then(|| csb_obs::span_cat("resume.replay", "gen"));
-                let t1 = Instant::now();
-                let edges = attach_properties_to_sink(&topo, model, &ips, attach_seed, &mut sink)?;
-                sink.finish()?;
-                (edges, t1.elapsed())
+                self.attach_through(layout, &topo)?
             }
-            (Some(dir), n_shards) => {
-                let resuming = resume && ShardedCheckpointManifest::path_in(dir).is_file();
-                let mut sink = if resuming {
-                    CheckpointedShardedGraphSink::resume(path, dir, identity.clone(), compression)?
-                } else {
-                    let mut s = CheckpointedShardedGraphSink::create(
-                        path,
-                        dir,
-                        identity.clone(),
-                        n_shards,
-                        compression,
-                    )?;
-                    if let Some(n) = self.ckpt.chunk_records {
-                        s = s.with_chunk_records(n);
-                    }
-                    s
-                };
-                if let Some(every) = self.ckpt.every {
-                    sink = sink.with_checkpoint_every(every);
-                }
-                if let Some((n, abort)) = kill {
-                    sink = sink.with_kill_after_chunks(n, abort);
-                }
-                if let Some(flag) = &self.cancel {
-                    sink = sink.with_stop_flag(Arc::clone(flag));
-                }
-                let _replay = resuming.then(|| csb_obs::span_cat("resume.replay", "gen"));
-                let t1 = Instant::now();
-                let edges = attach_properties_to_sink(&topo, model, &ips, attach_seed, &mut sink)?;
-                sink.finish()?;
-                (edges, t1.elapsed())
-            }
+            None if shards > 1 => self.attach_through(
+                ShardedLayout::create(path, FileKind::Graph, shards, compression)?,
+                &topo,
+            )?,
+            None => self.attach_through(
+                StoreWriter::create_with(path, FileKind::Graph, compression.version())?,
+                &topo,
+            )?,
         };
-        let timings = self
-            .timed
-            .then(|| PhaseTimings::new(generator, edges as usize).grow(grow).attach(attach));
+        let timings = self.timed.then(|| {
+            let generator = self.config.generator_name();
+            PhaseTimings::new(generator, edges as usize).grow(grow).attach(attach)
+        });
         Ok(GenRun { graph: None, edges, timings, metrics })
+    }
+
+    /// Attaches properties to `topo` and streams the result through
+    /// `layout`; returns the edge count and the attach wall time.
+    fn attach_through<L: Layout>(
+        &self,
+        layout: L,
+        topo: &Topology,
+    ) -> Result<(u64, std::time::Duration), CsbError> {
+        let (ips, attach_seed) = self.attach_params();
+        let mut sink = StoreSink::new(layout);
+        if let Some(n) = self.ckpt.chunk_records {
+            sink = sink.with_chunk_records(n);
+        }
+        let t1 = Instant::now();
+        let model = &self.seed.analysis.properties;
+        let edges = attach_properties_to_sink(topo, model, &ips, attach_seed, &mut sink)?;
+        sink.finish()?;
+        Ok((edges, t1.elapsed()))
     }
 }
 
@@ -826,6 +779,36 @@ mod tests {
     }
 
     #[test]
+    fn resume_under_a_different_shard_count_is_rejected() {
+        let seed = small_seed();
+        let cfg = PgpbaConfig { desired_size: 9000, fraction: 0.5, seed: 42 };
+        for written in [1usize, 3] {
+            let dir = temp_dir(&format!("wrongshards{written}"));
+            let store = dir.join("g.csbstore");
+            let ckpt = dir.join("ckpt");
+            let job = |shards| {
+                GenJob::pgpba(&seed, cfg)
+                    .store(&store)
+                    .chunk_records(512)
+                    .shards(shards)
+                    .checkpoint(&ckpt)
+                    .checkpoint_every(1)
+            };
+            job(written).kill_after_chunks(4, false).run().expect_err("killed");
+            // Fewer files, or more, than the checkpoint was written across:
+            // neither may splice into it, and the error names both counts.
+            for requested in [4 - written, written + 1] {
+                let err = job(requested).resume().run().expect_err("different shard count");
+                let CsbError::Mismatch(msg) = &err else { panic!("got {err}") };
+                assert!(msg.contains(&format!("{written} store file")), "{msg}");
+                assert!(msg.contains(&format!("requested {requested}")), "{msg}");
+            }
+            job(written).resume().run().expect("the layout it was written under resumes");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
     fn sharded_v2_store_run_loads_and_scores_identically_to_single_v1() {
         let seed = small_seed();
         let cfg = PgpbaConfig { desired_size: 6000, fraction: 0.5, seed: 42 };
@@ -901,10 +884,7 @@ mod tests {
             let b = std::fs::read(dir.join(format!("crashy.csbshards.s{i}"))).expect("crashy");
             assert_eq!(a, b, "shard {i} must resume byte-identically");
         }
-        assert!(
-            !ShardedCheckpointManifest::path_in(&ckpt).is_file(),
-            "completed run must clear its manifest"
-        );
+        assert!(!CheckpointManifest::exists(&ckpt), "completed run must clear its manifest");
         std::fs::remove_dir_all(&dir).ok();
     }
 

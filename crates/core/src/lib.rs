@@ -52,9 +52,4 @@ pub use pgpba::{pgpba, pgpba_timed};
 pub use pgsk::{pgsk, pgsk_timed};
 pub use seed::{seed_from_packets, seed_from_trace, SeedBundle};
 pub use stream::{attach_properties_to_sink, pgpba_to_sink, pgsk_to_sink};
-#[allow(deprecated)]
-pub use veracity::{
-    degree_veracity, pagerank_veracity, pagerank_veracity_with, veracity, veracity_scan_with,
-    veracity_store, veracity_with, VeracityScores,
-};
 pub use veracity::{DynEdgeScan, Metric, MetricScore, VeracityJob, VeracityReport};

@@ -89,7 +89,8 @@ mod tests {
     use crate::pgsk::pgsk;
     use crate::seed::seed_from_trace;
     use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
-    use csb_store::sink::{save_graph_to, GraphStoreSink, MemoryGraphSink};
+    use csb_store::sink::{save_graph_to, MemoryGraphSink, StoreSink};
+    use csb_store::{FileKind, StoreWriter};
 
     fn small_seed() -> SeedBundle {
         let trace = TrafficSim::new(TrafficSimConfig {
@@ -143,7 +144,8 @@ mod tests {
         let cfg =
             PgpbaConfig { desired_size: seed.edge_count() as u64 * 4, fraction: 0.5, seed: 42 };
         let via_memory = save_graph_to(Vec::new(), &pgpba(&seed, &cfg)).expect("save");
-        let mut sink = GraphStoreSink::new(Vec::new()).expect("sink");
+        let mut sink =
+            StoreSink::new(StoreWriter::new(Vec::new(), FileKind::Graph).expect("writer"));
         pgpba_to_sink(&seed, &cfg, &mut sink).expect("stream");
         let via_stream = sink.finish().expect("finish");
         assert_eq!(via_memory, via_stream, "store bytes must not depend on the generation path");

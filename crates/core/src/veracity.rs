@@ -26,11 +26,7 @@
 //! keeps the PR 5 differential-conformance contract (see
 //! `csb_graph::metric` and the root `ooc_conformance` suite).
 //!
-//! A *lower* score means *higher* veracity. The pre-2.0 free functions
-//! ([`veracity`], [`veracity_with`], [`pagerank_veracity`],
-//! [`pagerank_veracity_with`], [`veracity_scan_with`], [`veracity_store`])
-//! remain as deprecated thin wrappers over the job and keep returning the
-//! exact bits they always did.
+//! A *lower* score means *higher* veracity.
 
 use csb_graph::algo::{PageRankConfig, SpectralConfig};
 use csb_graph::metric::{
@@ -39,7 +35,7 @@ use csb_graph::metric::{
 };
 use csb_graph::ooc::EdgeScan;
 use csb_graph::NetflowGraph;
-use csb_store::{open_scan, CsbError, ScanSource};
+use csb_store::{CsbError, ShardedScan};
 use std::path::{Path, PathBuf};
 
 /// Environment fallback for the scan cache budget, in MiB; the builder's
@@ -264,7 +260,7 @@ struct Side<'a> {
 
 enum Source<'a> {
     Graph(&'a NetflowGraph),
-    Store(ScanSource),
+    Store(ShardedScan),
     Scan(&'a mut dyn DynEdgeScan),
 }
 
@@ -273,7 +269,7 @@ impl<'a> Side<'a> {
         let source = match input {
             Input::Graph(g) => Source::Graph(g),
             Input::Store(path) => {
-                let scan = open_scan(&path)?;
+                let scan = ShardedScan::open(&path)?;
                 Source::Store(match cache_budget {
                     Some(bytes) => scan.with_cache_budget(bytes),
                     None => scan,
@@ -524,130 +520,27 @@ fn resolve_cache_budget(explicit: Option<u64>, env: Option<&str>) -> Result<Opti
     }
 }
 
-/// Both veracity scores of one synthetic dataset (the pre-2.0 pair).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VeracityScores {
-    /// Degree-distribution score (paper Fig. 6).
-    pub degree: f64,
-    /// PageRank-distribution score (paper Fig. 7).
-    pub pagerank: f64,
-}
-
-fn legacy_scores(report: &VeracityReport) -> VeracityScores {
-    VeracityScores {
-        degree: report.score("degree").expect("degree metric scored"),
-        pagerank: report.score("pagerank").expect("pagerank metric scored"),
-    }
-}
-
-fn in_memory_pair(
-    seed: &NetflowGraph,
-    synthetic: &NetflowGraph,
-    metrics: &[Metric],
-    cfg: &PageRankConfig,
-) -> VeracityReport {
-    VeracityJob::new()
-        .seed_graph(seed)
-        .synthetic_graph(synthetic)
-        .metrics(metrics.iter().copied())
-        .pagerank_config(*cfg)
-        .run()
-        .expect("in-memory veracity cannot fail")
-}
-
-/// Degree veracity score of `synthetic` against `seed`.
-#[deprecated(note = "use `VeracityJob` with `.metrics([Metric::Degree])`")]
-pub fn degree_veracity(seed: &NetflowGraph, synthetic: &NetflowGraph) -> f64 {
-    in_memory_pair(seed, synthetic, &[Metric::Degree], &PageRankConfig::default())
-        .score("degree")
-        .expect("degree metric scored")
-}
-
-/// PageRank veracity score of `synthetic` against `seed`, with an explicit
-/// PageRank configuration (damping, iteration cap, tolerance).
-#[deprecated(note = "use `VeracityJob` with `.metrics([Metric::Pagerank])`")]
-pub fn pagerank_veracity_with(
-    seed: &NetflowGraph,
-    synthetic: &NetflowGraph,
-    cfg: &PageRankConfig,
-) -> f64 {
-    in_memory_pair(seed, synthetic, &[Metric::Pagerank], cfg)
-        .score("pagerank")
-        .expect("pagerank metric scored")
-}
-
-/// PageRank veracity score of `synthetic` against `seed` under the default
-/// PageRank configuration.
-#[deprecated(note = "use `VeracityJob` with `.metrics([Metric::Pagerank])`")]
-pub fn pagerank_veracity(seed: &NetflowGraph, synthetic: &NetflowGraph) -> f64 {
-    in_memory_pair(seed, synthetic, &[Metric::Pagerank], &PageRankConfig::default())
-        .score("pagerank")
-        .expect("pagerank metric scored")
-}
-
-/// Computes both classic scores with an explicit PageRank configuration.
-#[deprecated(note = "use `VeracityJob`")]
-pub fn veracity_with(
-    seed: &NetflowGraph,
-    synthetic: &NetflowGraph,
-    cfg: &PageRankConfig,
-) -> VeracityScores {
-    legacy_scores(&in_memory_pair(seed, synthetic, &Metric::DEFAULT, cfg))
-}
-
-/// Computes both classic scores under the default PageRank configuration.
-#[deprecated(note = "use `VeracityJob`")]
-pub fn veracity(seed: &NetflowGraph, synthetic: &NetflowGraph) -> VeracityScores {
-    legacy_scores(&in_memory_pair(seed, synthetic, &Metric::DEFAULT, &PageRankConfig::default()))
-}
-
-/// Out-of-core veracity over two streamed graphs — bit-identical to
-/// [`veracity_with`] on the materialized graphs.
-#[deprecated(note = "use `VeracityJob` with `.seed_scan(..)` / `.synthetic_scan(..)`")]
-pub fn veracity_scan_with<S, T>(
-    seed: &mut S,
-    synthetic: &mut T,
-    cfg: &PageRankConfig,
-) -> Result<VeracityScores, CsbError>
-where
-    S: EdgeScan,
-    T: EdgeScan,
-    S::Error: Into<CsbError>,
-    T::Error: Into<CsbError>,
-{
-    let report =
-        VeracityJob::new().seed_scan(seed).synthetic_scan(synthetic).pagerank_config(*cfg).run()?;
-    Ok(legacy_scores(&report))
-}
-
-/// Out-of-core veracity of the graph store at `synth_path` against the one
-/// at `seed_path`, never materializing either graph. Each path may be a
-/// single store file (v1 or v2) or a shard-set manifest — the magic decides,
-/// and every layout scores bit-identically.
-#[deprecated(note = "use `VeracityJob` with `.seed_store(..)` / `.synthetic_store(..)`")]
-pub fn veracity_store(
-    seed_path: impl AsRef<Path>,
-    synth_path: impl AsRef<Path>,
-    cfg: &PageRankConfig,
-) -> Result<VeracityScores, CsbError> {
-    let report = VeracityJob::new()
-        .seed_store(seed_path)
-        .synthetic_store(synth_path)
-        .pagerank_config(*cfg)
-        .run()?;
-    Ok(legacy_scores(&report))
-}
-
 #[cfg(test)]
 mod tests {
-    // The legacy wrappers are deprecated but must keep returning the exact
-    // bits they always did — these tests pin that.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::config::{PgpbaConfig, PgskConfig};
     use crate::seed::{seed_from_trace, SeedBundle};
     use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
+
+    /// The classic (degree, pagerank) pair of an in-memory job.
+    fn pair(seed: &NetflowGraph, synthetic: &NetflowGraph, cfg: &PageRankConfig) -> (f64, f64) {
+        let report = VeracityJob::new()
+            .seed_graph(seed)
+            .synthetic_graph(synthetic)
+            .pagerank_config(*cfg)
+            .run()
+            .expect("in-memory veracity cannot fail");
+        (report.score("degree").expect("degree"), report.score("pagerank").expect("pagerank"))
+    }
+
+    fn default_pair(seed: &NetflowGraph, synthetic: &NetflowGraph) -> (f64, f64) {
+        pair(seed, synthetic, &PageRankConfig::default())
+    }
 
     fn small_seed() -> SeedBundle {
         let trace = TrafficSim::new(TrafficSimConfig {
@@ -663,9 +556,7 @@ mod tests {
     #[test]
     fn self_veracity_is_zero() {
         let seed = small_seed();
-        let v = veracity(&seed.graph, &seed.graph);
-        assert_eq!(v.degree, 0.0);
-        assert_eq!(v.pagerank, 0.0);
+        assert_eq!(default_pair(&seed.graph, &seed.graph), (0.0, 0.0));
     }
 
     #[test]
@@ -695,8 +586,8 @@ mod tests {
             &seed,
             &PgpbaConfig { desired_size: seed.edge_count() as u64 * 24, fraction: 0.1, seed: 1 },
         );
-        let vs = degree_veracity(&seed.graph, &small);
-        let vl = degree_veracity(&seed.graph, &large);
+        let vs = default_pair(&seed.graph, &small).0;
+        let vl = default_pair(&seed.graph, &large).0;
         assert!(vl < vs, "larger graph should score lower: {vl} vs {vs}");
     }
 
@@ -708,8 +599,8 @@ mod tests {
             &seed,
             &PgpbaConfig { desired_size: seed.edge_count() as u64 * 8, fraction: 0.3, seed: 2 },
         );
-        let v = veracity(&seed.graph, &synth);
-        assert!(v.pagerank < v.degree, "pagerank {} vs degree {}", v.pagerank, v.degree);
+        let (degree, pagerank) = default_pair(&seed.graph, &synth);
+        assert!(pagerank < degree, "pagerank {pagerank} vs degree {degree}");
     }
 
     #[test]
@@ -719,52 +610,65 @@ mod tests {
             &seed,
             &PgpbaConfig { desired_size: seed.edge_count() as u64 * 4, fraction: 0.3, seed: 2 },
         );
-        let v_default = pagerank_veracity(&seed.graph, &synth);
+        let only = |metric: Metric, cfg: &PageRankConfig| {
+            VeracityJob::new()
+                .seed_graph(&seed.graph)
+                .synthetic_graph(&synth)
+                .metrics([metric])
+                .pagerank_config(*cfg)
+                .run()
+                .expect("job")
+                .scores[0]
+                .score
+        };
+        let (degree, v_default) = default_pair(&seed.graph, &synth);
         assert_eq!(
             v_default,
-            pagerank_veracity_with(&seed.graph, &synth, &PageRankConfig::default()),
-            "default-config variant must agree with the wrapper"
+            only(Metric::Pagerank, &PageRankConfig::default()),
+            "a single-metric job must agree with the pair"
         );
         let low_damping = PageRankConfig { damping: 0.5, ..PageRankConfig::default() };
         assert_ne!(
             v_default,
-            pagerank_veracity_with(&seed.graph, &synth, &low_damping),
+            only(Metric::Pagerank, &low_damping),
             "damping must flow through to the PageRank computation"
         );
-        let both = veracity_with(&seed.graph, &synth, &low_damping);
-        assert_eq!(both.degree, degree_veracity(&seed.graph, &synth));
+        assert_eq!(pair(&seed.graph, &synth, &low_damping).0, degree);
+        assert_eq!(only(Metric::Degree, &low_damping), degree);
     }
 
     #[test]
     fn veracity_scan_bit_identical_to_in_memory() {
         // The out-of-core path over real store bytes must reproduce the
         // in-memory scores bit-for-bit, at any chunk size.
-        use csb_store::sink::{push_graph, GraphStoreSink};
-        use csb_store::{StoreReader, StoreScan};
+        use csb_store::sink::{push_graph, StoreSink};
+        use csb_store::{FileKind, StoreReader, StoreScan, StoreWriter};
         use std::io::Cursor;
         let seed = small_seed();
         let synth = crate::pgpba(
             &seed,
             &PgpbaConfig { desired_size: seed.edge_count() as u64 * 4, fraction: 0.2, seed: 9 },
         );
-        let mem = veracity(&seed.graph, &synth);
+        let mem = default_pair(&seed.graph, &synth);
         for chunk_records in [7usize, 64, 100_000] {
             let store_of = |g: &NetflowGraph| {
-                let mut sink = GraphStoreSink::new(Vec::new())
-                    .expect("sink")
-                    .with_chunk_records(chunk_records);
+                let writer = StoreWriter::new(Vec::new(), FileKind::Graph).expect("writer");
+                let mut sink = StoreSink::new(writer).with_chunk_records(chunk_records);
                 push_graph(&mut sink, g).expect("push");
                 let bytes = sink.finish().expect("seal");
                 StoreScan::new(StoreReader::new(Cursor::new(bytes)).expect("reader")).expect("scan")
             };
-            let ooc = veracity_scan_with(
-                &mut store_of(&seed.graph),
-                &mut store_of(&synth),
-                &PageRankConfig::default(),
-            )
-            .expect("ooc veracity");
-            assert_eq!(mem.degree.to_bits(), ooc.degree.to_bits(), "chunk {chunk_records}");
-            assert_eq!(mem.pagerank.to_bits(), ooc.pagerank.to_bits(), "chunk {chunk_records}");
+            let ooc = VeracityJob::new()
+                .seed_scan(&mut store_of(&seed.graph))
+                .synthetic_scan(&mut store_of(&synth))
+                .run()
+                .expect("ooc veracity");
+            assert_eq!(mem.0.to_bits(), ooc.score("degree").unwrap().to_bits(), "{chunk_records}");
+            assert_eq!(
+                mem.1.to_bits(),
+                ooc.score("pagerank").unwrap().to_bits(),
+                "{chunk_records}"
+            );
         }
     }
 
@@ -782,10 +686,10 @@ mod tests {
         let b = dir.join("synth.csb");
         save_graph(&a, &seed.graph).expect("save seed");
         save_graph(&b, &synth).expect("save synth");
-        let ooc = veracity_store(&a, &b, &PageRankConfig::default()).expect("score");
-        let mem = veracity(&seed.graph, &synth);
-        assert_eq!(mem.degree.to_bits(), ooc.degree.to_bits());
-        assert_eq!(mem.pagerank.to_bits(), ooc.pagerank.to_bits());
+        let ooc = VeracityJob::new().seed_store(&a).synthetic_store(&b).run().expect("score");
+        let mem = default_pair(&seed.graph, &synth);
+        assert_eq!(mem.0.to_bits(), ooc.score("degree").unwrap().to_bits());
+        assert_eq!(mem.1.to_bits(), ooc.score("pagerank").unwrap().to_bits());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -824,18 +728,15 @@ mod tests {
     }
 
     #[test]
-    fn job_defaults_match_legacy_pair_bitwise() {
+    fn job_defaults_to_the_classic_pair() {
         let seed = small_seed();
-        let synth = crate::pgpba(
-            &seed,
-            &PgpbaConfig { desired_size: seed.edge_count() as u64 * 3, fraction: 0.2, seed: 5 },
-        );
-        let legacy = veracity(&seed.graph, &synth);
-        let report =
-            VeracityJob::new().seed_graph(&seed.graph).synthetic_graph(&synth).run().expect("job");
-        assert_eq!(report.scores.len(), 2);
-        assert_eq!(legacy.degree.to_bits(), report.score("degree").unwrap().to_bits());
-        assert_eq!(legacy.pagerank.to_bits(), report.score("pagerank").unwrap().to_bits());
+        let report = VeracityJob::new()
+            .seed_graph(&seed.graph)
+            .synthetic_graph(&seed.graph)
+            .run()
+            .expect("job");
+        let names: Vec<&str> = report.scores.iter().map(|s| s.metric).collect();
+        assert_eq!(names, ["degree", "pagerank"]);
     }
 
     #[test]
@@ -913,11 +814,11 @@ mod tests {
                 kronfit_permutation_samples: 200,
             },
         );
-        let vba = veracity(&seed.graph, &ba);
-        let vsk = veracity(&seed.graph, &sk);
-        assert!(vba.degree < 0.05, "PGPBA degree score {}", vba.degree);
-        assert!(vsk.degree < 0.05, "PGSK degree score {}", vsk.degree);
-        assert!(vba.pagerank < 0.05);
-        assert!(vsk.pagerank < 0.05);
+        let vba = default_pair(&seed.graph, &ba);
+        let vsk = default_pair(&seed.graph, &sk);
+        assert!(vba.0 < 0.05, "PGPBA degree score {}", vba.0);
+        assert!(vsk.0 < 0.05, "PGSK degree score {}", vsk.0);
+        assert!(vba.1 < 0.05);
+        assert!(vsk.1 < 0.05);
     }
 }

@@ -1,31 +1,34 @@
-//! Checkpointed generation runs: a CRC-validated manifest recording the last
-//! durable chunk of a store file, and a graph sink that emits a checkpoint
-//! barrier every N chunks.
+//! Checkpointed generation runs: a CRC-validated manifest recording the
+//! durable prefix of every file of a store, and the [`Layout`] that writes
+//! it at a barrier every N chunks.
 //!
 //! The manifest is chunk-aligned by construction — it records exactly the
-//! chunks the [`StoreWriter`] footer index knows about, flushed and fsynced
-//! to the store file before the manifest is atomically renamed into place.
-//! A killed run therefore leaves (a) a store file whose prefix up to
-//! `bytes_durable` is valid and (b) a manifest describing that prefix;
+//! chunks each [`StoreWriter`] footer index knows about, flushed and fsynced
+//! before the manifest is atomically renamed into place. A killed run
+//! therefore leaves (a) store files whose prefixes up to `bytes_durable` are
+//! valid and (b) a manifest describing those prefixes as one consistent cut;
 //! everything past the barrier is regenerated on resume by replaying the
 //! deterministic per-chunk RNG streams, so a resumed run is **byte-identical**
-//! to an uninterrupted one (the sinks re-chunk, so file bytes depend only on
+//! to an uninterrupted one (the sink re-chunks, so file bytes depend only on
 //! the record stream).
 //!
-//! Resume safety comes from three validations: the manifest's own CRC32, the
+//! Resume safety comes from these validations: the manifest's own CRC32, the
 //! identity triple (generator kind, config hash, RNG master seed) — resuming
-//! with a different config would silently splice two different graphs — and
-//! a re-read of the last durable chunk's payload against its recorded CRC.
+//! with a different config would silently splice two different graphs — the
+//! shard count and format version, and a re-read of each file's last durable
+//! chunk against its recorded CRC.
 
+use crate::codec::Compression;
 use crate::crc32::crc32;
 use crate::format::{
-    corrupt, ChunkEntry, ChunkKind, FileKind, StoreError, FILE_MAGIC, FORMAT_VERSION,
+    corrupt, save_atomically, seal_manifest, ChunkEntry, ChunkKind, FileKind, ManifestReader,
+    StoreError, CHUNK_HEADER_LEN, FILE_MAGIC, FORMAT_VERSION,
 };
-use crate::sink::{encode_edge_chunk, EdgeSink, CHUNK_RECORDS};
+use crate::shard::{place, ShardSetManifest};
+use crate::sink::{Layout, CHUNK_RECORDS};
 use crate::write::StoreWriter;
-use csb_graph::EdgeProperties;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,10 +36,13 @@ use std::sync::Arc;
 /// Manifest file name inside a checkpoint directory.
 pub const MANIFEST_FILE: &str = "checkpoint.manifest";
 
-/// Manifest magic, first 8 bytes.
+/// Manifest magic of a single-file run, first 8 bytes.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"CSBCKPT1";
 
-/// Manifest format version.
+/// Manifest magic of a sharded run.
+pub const SHARDED_CKPT_MAGIC: [u8; 8] = *b"CSBCKPT2";
+
+/// Manifest format version (both magics).
 pub const MANIFEST_VERSION: u32 = 1;
 
 /// Default chunks between checkpoint barriers.
@@ -54,22 +60,37 @@ pub struct CheckpointIdentity {
     pub master_seed: u64,
 }
 
+/// The durable prefix of one store file as of a barrier.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardCheckpoint {
+    /// File length as of the barrier (header + durable chunks).
+    pub bytes_durable: u64,
+    /// Footer index of the file's durable chunks.
+    pub chunks: Vec<ChunkEntry>,
+}
+
 /// The durable state of a checkpointed run: identity, chunk geometry, and
-/// the store-file prefix written as of the last barrier.
+/// the prefix of every store file written as of the last barrier, replaced
+/// atomically so all files resume from one consistent cut.
+///
+/// On disk a single-file run is a `CSBCKPT1` manifest, which has no version
+/// field and so only ever describes v1 chunks; a sharded run is `CSBCKPT2`.
+/// Both load into this one type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointManifest {
     /// Who was generating, with what config and seed.
     pub identity: CheckpointIdentity,
     /// Records per store chunk (resume must re-chunk identically).
     pub chunk_records: u64,
+    /// Store format version of the files (1 or 2).
+    pub store_version: u32,
     /// Vertices contained in durable vertex chunks.
     pub vertices_durable: u64,
     /// Edges contained in durable edge chunks.
     pub edges_durable: u64,
-    /// Store-file length as of the barrier (header + durable chunks).
-    pub bytes_durable: u64,
-    /// Footer index of the durable chunks.
-    pub chunks: Vec<ChunkEntry>,
+    /// Durable prefix of each file: one for a single-file run, else one per
+    /// shard in shard order.
+    pub shards: Vec<ShardCheckpoint>,
 }
 
 impl CheckpointManifest {
@@ -84,73 +105,69 @@ impl CheckpointManifest {
     }
 
     fn to_bytes(&self) -> Vec<u8> {
+        let single = self.shards.len() == 1;
+        assert!(!single || self.store_version == FORMAT_VERSION, "CSBCKPT1 describes v1 only");
         let gen = self.identity.generator.as_bytes();
         assert!(gen.len() <= u8::MAX as usize, "generator name too long");
-        let mut out = Vec::with_capacity(96 + gen.len() + self.chunks.len() * 32);
-        out.extend_from_slice(&MANIFEST_MAGIC);
+        let mut out = Vec::with_capacity(128 + gen.len());
+        out.extend_from_slice(if single { &MANIFEST_MAGIC } else { &SHARDED_CKPT_MAGIC });
         out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
         out.push(gen.len() as u8);
         out.extend_from_slice(gen);
         out.extend_from_slice(&self.identity.config_hash.to_le_bytes());
         out.extend_from_slice(&self.identity.master_seed.to_le_bytes());
         out.extend_from_slice(&self.chunk_records.to_le_bytes());
+        if !single {
+            out.extend_from_slice(&self.store_version.to_le_bytes());
+        }
         out.extend_from_slice(&self.vertices_durable.to_le_bytes());
         out.extend_from_slice(&self.edges_durable.to_le_bytes());
-        out.extend_from_slice(&self.bytes_durable.to_le_bytes());
-        out.extend_from_slice(&(self.chunks.len() as u64).to_le_bytes());
-        for c in &self.chunks {
-            c.encode_into(&mut out, FORMAT_VERSION);
+        if !single {
+            out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        for s in &self.shards {
+            out.extend_from_slice(&s.bytes_durable.to_le_bytes());
+            out.extend_from_slice(&(s.chunks.len() as u64).to_le_bytes());
+            for c in &s.chunks {
+                c.encode_into(&mut out, self.store_version);
+            }
+        }
+        seal_manifest(out)
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        let bad = |msg: &str| corrupt(0, format!("checkpoint manifest: {msg}"));
-        if bytes.len() < 16 || bytes[..8] != MANIFEST_MAGIC {
-            return Err(bad("bad magic"));
+        let single = bytes.starts_with(&MANIFEST_MAGIC);
+        let magic = if single { &MANIFEST_MAGIC } else { &SHARDED_CKPT_MAGIC };
+        let mut r = ManifestReader::open(bytes, "checkpoint manifest", magic, MANIFEST_VERSION)?;
+        let gen_len = r.u8()? as usize;
+        let generator = String::from_utf8(r.take(gen_len)?.to_vec())
+            .map_err(|_| r.bad("generator name is not UTF-8"))?;
+        let identity =
+            CheckpointIdentity { generator, config_hash: r.u64()?, master_seed: r.u64()? };
+        let chunk_records = r.u64()?;
+        let store_version = if single { FORMAT_VERSION } else { r.u32()? };
+        let vertices_durable = r.u64()?;
+        let edges_durable = r.u64()?;
+        let shard_count = if single {
+            1
+        } else {
+            // Every shard costs at least its two u64 fields.
+            let n = r.u32()? as u64;
+            r.count(n, 16)?
+        };
+        let mut shards = Vec::with_capacity(shard_count);
+        for _ in 0..shard_count {
+            let bytes_durable = r.u64()?;
+            shards.push(ShardCheckpoint { bytes_durable, chunks: r.chunk_entries(store_version)? });
         }
-        let body_len = bytes.len() - 4;
-        let stored_crc = u32::from_le_bytes(bytes[body_len..].try_into().expect("4 bytes"));
-        if crc32(&bytes[..body_len]) != stored_crc {
-            return Err(bad("CRC mismatch"));
-        }
-        let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().expect("8 bytes"));
-        if u32_at(8) != MANIFEST_VERSION {
-            return Err(bad("unsupported version"));
-        }
-        let gen_len = bytes[12] as usize;
-        let mut o = 13;
-        if body_len < o + gen_len + 56 {
-            return Err(bad("truncated"));
-        }
-        let generator = String::from_utf8(bytes[o..o + gen_len].to_vec())
-            .map_err(|_| bad("generator name is not UTF-8"))?;
-        o += gen_len;
-        let config_hash = u64_at(o);
-        let master_seed = u64_at(o + 8);
-        let chunk_records = u64_at(o + 16);
-        let vertices_durable = u64_at(o + 24);
-        let edges_durable = u64_at(o + 32);
-        let bytes_durable = u64_at(o + 40);
-        let chunk_count = u64_at(o + 48) as usize;
-        o += 56;
-        if body_len != o + chunk_count * 32 {
-            return Err(bad("chunk index length mismatch"));
-        }
-        let mut chunks = Vec::with_capacity(chunk_count);
-        for _ in 0..chunk_count {
-            chunks.push(ChunkEntry::decode_from(&bytes[..body_len], &mut o, FORMAT_VERSION, 0)?);
-        }
+        r.finish()?;
         Ok(CheckpointManifest {
-            identity: CheckpointIdentity { generator, config_hash, master_seed },
+            identity,
             chunk_records,
+            store_version,
             vertices_durable,
             edges_durable,
-            bytes_durable,
-            chunks,
+            shards,
         })
     }
 
@@ -159,13 +176,7 @@ impl CheckpointManifest {
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<(), StoreError> {
         let dir = dir.as_ref();
         let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-        let bytes = self.to_bytes();
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, Self::path_in(dir))?;
-        Ok(())
+        save_atomically(&tmp, &Self::path_in(dir), &self.to_bytes())
     }
 
     /// Loads and validates the manifest in `dir`.
@@ -181,79 +192,95 @@ impl CheckpointManifest {
     }
 }
 
-/// An [`EdgeSink`] writing a graph store file with checkpoint barriers: every
-/// `checkpoint_every` chunks the file is flushed + fsynced and a
-/// [`CheckpointManifest`] is atomically written beside it. Byte-compatible
-/// with [`GraphStoreSink`](crate::sink::GraphStoreSink): an uninterrupted
-/// checkpointed run produces the identical file.
+/// The fault-tolerant [`Layout`]: `shards` graph store files written
+/// synchronously — barriers need one deterministic durable point across
+/// every file — with the same placement rule as
+/// [`ShardedLayout`](crate::shard::ShardedLayout). Every `checkpoint_every`
+/// chunks all files are flushed + fsynced and a [`CheckpointManifest`]
+/// covering every file's durable prefix atomically replaces the last one. A
+/// killed run resumes to byte-identical files, and an uninterrupted run
+/// writes the same bytes as the un-checkpointed layout of the same shape:
+/// one shard is a plain store file at `path` (v1 only, see
+/// [`CheckpointManifest`]), more are a shard set behind a manifest at `path`.
 #[derive(Debug)]
-pub struct CheckpointedGraphSink {
-    writer: StoreWriter<BufWriter<File>>,
+pub struct CheckpointedLayout {
+    writers: Vec<StoreWriter<BufWriter<File>>>,
+    /// The shard-set manifest to write at `path` when sealing; `None` for a
+    /// single-file run, whose one store file is `path` itself.
+    shard_set: Option<(PathBuf, ShardSetManifest)>,
     dir: PathBuf,
     identity: CheckpointIdentity,
     chunk_records: usize,
+    resumed: bool,
     checkpoint_every: u64,
-    vertices: Vec<u32>,
-    src: Vec<u32>,
-    dst: Vec<u32>,
-    props: Vec<EdgeProperties>,
-    /// Records contained in *written* chunks (buffered tails are volatile).
+    /// Records contained in *written* chunks (staged tails are volatile).
     vertices_chunked: u64,
     edges_chunked: u64,
+    body_chunks_written: u64,
     chunks_since_barrier: u64,
     chunks_written: u64,
-    /// Re-pushed records to drop because the manifest already covers them.
-    skip_vertices: u64,
-    skip_edges: u64,
     /// Fault-injection hook: fail (or abort) before writing chunk N+1.
-    kill_after_chunks: Option<u64>,
-    kill_aborts_process: bool,
+    kill_after_chunks: Option<(u64, bool)>,
     /// Cooperative preemption: when set, the next chunk boundary takes a
     /// barrier and surfaces a `Transient` error instead of writing.
     stop: Option<Arc<AtomicBool>>,
 }
 
-impl CheckpointedGraphSink {
-    /// Starts a fresh checkpointed run: graph store file at `path`, manifest
-    /// barriers in `dir` (created if missing).
+/// The store files of a checkpointed run at `path` and, for a sharded run,
+/// the shard-set manifest that will name them.
+type StoreFiles = (Vec<PathBuf>, Option<(PathBuf, ShardSetManifest)>);
+
+fn store_files(
+    path: &Path,
+    shards: usize,
+    compression: Compression,
+) -> Result<StoreFiles, StoreError> {
+    if shards > 1 {
+        let manifest = ShardSetManifest::named(path, FileKind::Graph, shards);
+        return Ok((manifest.shard_paths(path), Some((path.to_path_buf(), manifest))));
+    }
+    if compression != Compression::None {
+        return Err(StoreError::Config(
+            "columnar compression on a checkpointed run requires sharding (.shards(n >= 2)); \
+             the single-file checkpoint manifest describes v1 chunks only"
+                .into(),
+        ));
+    }
+    Ok((vec![path.to_path_buf()], None))
+}
+
+impl CheckpointedLayout {
+    /// Starts a fresh checkpointed run of `shards` files at `path`, barrier
+    /// manifests in `dir` (created if missing).
     pub fn create(
         path: impl AsRef<Path>,
         dir: impl AsRef<Path>,
         identity: CheckpointIdentity,
+        shards: usize,
+        compression: Compression,
     ) -> Result<Self, StoreError> {
+        let (paths, shard_set) = store_files(path.as_ref(), shards, compression)?;
         std::fs::create_dir_all(&dir)?;
-        let writer = StoreWriter::create(path, FileKind::Graph)?;
-        Ok(CheckpointedGraphSink {
-            writer,
-            dir: dir.as_ref().to_path_buf(),
-            identity,
-            chunk_records: CHUNK_RECORDS,
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-            vertices: Vec::new(),
-            src: Vec::new(),
-            dst: Vec::new(),
-            props: Vec::new(),
-            vertices_chunked: 0,
-            edges_chunked: 0,
-            chunks_since_barrier: 0,
-            chunks_written: 0,
-            skip_vertices: 0,
-            skip_edges: 0,
-            kill_after_chunks: None,
-            kill_aborts_process: false,
-            stop: None,
-        })
+        let writers = paths
+            .iter()
+            .map(|p| StoreWriter::create_with(p, FileKind::Graph, compression.version()))
+            .collect::<Result<_, _>>()?;
+        Ok(Self::over(writers, shard_set, dir.as_ref(), identity))
     }
 
     /// Resumes a killed run from the manifest in `dir`: validates the
-    /// identity triple, truncates the partial store file at `path` back to
-    /// the last durable barrier (verifying the final durable chunk's CRC),
-    /// and arranges for the re-pushed durable prefix to be dropped.
+    /// identity triple, the shard count and the format version, truncates
+    /// every file back to its durable prefix (verifying each file's last
+    /// durable chunk CRC), and arranges for the sink in front to drop the
+    /// re-pushed durable records.
     pub fn resume(
         path: impl AsRef<Path>,
         dir: impl AsRef<Path>,
         identity: CheckpointIdentity,
+        shards: usize,
+        compression: Compression,
     ) -> Result<Self, StoreError> {
+        let (paths, shard_set) = store_files(path.as_ref(), shards, compression)?;
         let m = CheckpointManifest::load(&dir)?;
         if m.identity != identity {
             return Err(StoreError::Mismatch(format!(
@@ -267,58 +294,97 @@ impl CheckpointedGraphSink {
                 identity.master_seed
             )));
         }
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let file_len = file.metadata()?.len();
-        if file_len < m.bytes_durable {
+        if m.shards.len() != paths.len() {
             return Err(StoreError::Mismatch(format!(
-                "store file {} is shorter ({file_len} B) than the manifest's durable prefix \
-                 ({} B)",
-                path.as_ref().display(),
-                m.bytes_durable
+                "checkpoint was written across {} store file(s), resume requested {}",
+                m.shards.len(),
+                paths.len()
             )));
         }
-        let mut header = [0u8; 8];
-        file.read_exact(&mut header)?;
-        if header != FILE_MAGIC {
-            return Err(corrupt(0, "resume target is not a csb store file"));
+        if m.store_version != compression.version() {
+            return Err(StoreError::Mismatch(format!(
+                "checkpoint store version {} does not match requested compression {}",
+                m.store_version,
+                compression.name()
+            )));
         }
-        // The manifest's own CRC covers the index; re-check the last durable
-        // chunk's payload so a torn write inside the durable prefix is caught
-        // now, not at read time after hours of appended generation.
-        if let Some(last) = m.chunks.last() {
-            let _span = csb_obs::span_cat("checkpoint.validate", "store");
-            file.seek(SeekFrom::Start(last.offset + 28))?;
-            let mut payload = vec![0u8; last.payload_len as usize];
-            file.read_exact(&mut payload)?;
-            if crc32(&payload) != last.crc32 {
-                return Err(corrupt(last.offset, "last durable chunk fails its CRC on resume"));
+        let mut writers = Vec::with_capacity(paths.len());
+        for (file_path, state) in paths.iter().zip(&m.shards) {
+            let mut file = OpenOptions::new().read(true).write(true).open(file_path)?;
+            let file_len = file.metadata()?.len();
+            if file_len < state.bytes_durable {
+                return Err(StoreError::Mismatch(format!(
+                    "store file {} is shorter ({file_len} B) than the manifest's durable prefix \
+                     ({} B)",
+                    file_path.display(),
+                    state.bytes_durable
+                )));
             }
+            let mut header = [0u8; 8];
+            file.read_exact(&mut header)?;
+            if header != FILE_MAGIC {
+                return Err(corrupt(0, "resume target is not a csb store file"));
+            }
+            // The manifest's own CRC covers the index; re-check the last
+            // durable chunk's payload so a torn write inside the durable
+            // prefix is caught now, not at read time after hours of appended
+            // generation.
+            if let Some(last) = state.chunks.last() {
+                let _span = csb_obs::span_cat("checkpoint.validate", "store");
+                let payload_at = last.offset.saturating_add(CHUNK_HEADER_LEN);
+                if payload_at.saturating_add(last.payload_len) > state.bytes_durable {
+                    return Err(corrupt(last.offset, "last durable chunk overruns its prefix"));
+                }
+                file.seek(SeekFrom::Start(payload_at))?;
+                let mut payload = vec![0u8; last.payload_len as usize];
+                file.read_exact(&mut payload)?;
+                if crc32(&payload) != last.crc32 {
+                    return Err(corrupt(last.offset, "last durable chunk fails its CRC on resume"));
+                }
+            }
+            file.set_len(state.bytes_durable)?;
+            file.seek(SeekFrom::Start(state.bytes_durable))?;
+            writers.push(StoreWriter::resume_at(
+                BufWriter::new(file),
+                m.store_version,
+                state.bytes_durable,
+                state.chunks.clone(),
+            ));
         }
-        file.set_len(m.bytes_durable)?;
-        file.seek(SeekFrom::Start(m.bytes_durable))?;
-        let writer =
-            StoreWriter::resume_at(BufWriter::new(file), FORMAT_VERSION, m.bytes_durable, m.chunks);
         csb_obs::counter_add("checkpoint.resumes", 1);
-        Ok(CheckpointedGraphSink {
-            writer,
-            dir: dir.as_ref().to_path_buf(),
-            identity,
+        let body_chunks = m.shards.iter().flat_map(|s| &s.chunks);
+        Ok(CheckpointedLayout {
             chunk_records: (m.chunk_records as usize).max(1),
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-            vertices: Vec::new(),
-            src: Vec::new(),
-            dst: Vec::new(),
-            props: Vec::new(),
+            resumed: true,
             vertices_chunked: m.vertices_durable,
             edges_chunked: m.edges_durable,
+            body_chunks_written: body_chunks.filter(|c| c.kind != ChunkKind::Vertex).count() as u64,
+            ..Self::over(writers, shard_set, dir.as_ref(), identity)
+        })
+    }
+
+    fn over(
+        writers: Vec<StoreWriter<BufWriter<File>>>,
+        shard_set: Option<(PathBuf, ShardSetManifest)>,
+        dir: &Path,
+        identity: CheckpointIdentity,
+    ) -> Self {
+        CheckpointedLayout {
+            writers,
+            shard_set,
+            dir: dir.to_path_buf(),
+            identity,
+            chunk_records: CHUNK_RECORDS,
+            resumed: false,
+            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+            vertices_chunked: 0,
+            edges_chunked: 0,
+            body_chunks_written: 0,
             chunks_since_barrier: 0,
             chunks_written: 0,
-            skip_vertices: m.vertices_durable,
-            skip_edges: m.edges_durable,
             kill_after_chunks: None,
-            kill_aborts_process: false,
             stop: None,
-        })
+        }
     }
 
     /// Chunks between barriers (at least 1).
@@ -327,43 +393,68 @@ impl CheckpointedGraphSink {
         self
     }
 
-    /// Overrides the chunk size on a *fresh* run (tests use small chunks).
-    /// A resumed sink keeps the manifest's chunk size — changing it would
-    /// break byte-identity with the uninterrupted run.
-    pub fn with_chunk_records(mut self, records: usize) -> Self {
-        if self.chunks_written == 0 && self.skip_vertices == 0 && self.skip_edges == 0 {
-            self.chunk_records = records.max(1);
-        }
-        self
-    }
-
-    /// Fault-injection hook: the sink refuses to write chunk `n + 1`. With
+    /// Fault-injection hook: the layout refuses to write chunk `n + 1`. With
     /// `abort_process` the whole process dies via [`std::process::abort`]
     /// (SIGKILL semantics: no flush, no destructors — what the CI
     /// kill-and-resume smoke uses); otherwise a
     /// [`CsbError::Transient`](crate::error::CsbError::Transient) surfaces
     /// so in-process tests can observe the "crash".
     pub fn with_kill_after_chunks(mut self, n: u64, abort_process: bool) -> Self {
-        self.kill_after_chunks = Some(n);
-        self.kill_aborts_process = abort_process;
+        self.kill_after_chunks = Some((n, abort_process));
         self
     }
 
     /// Cooperative preemption hook: once `flag` is set, the next chunk
-    /// boundary takes a checkpoint barrier (making everything written so far
-    /// durable — file bytes are untouched, so resume stays byte-identical)
-    /// and surfaces [`CsbError::Transient`](crate::error::CsbError::Transient)
-    /// to the caller, which requeues the job for later resume.
+    /// boundary takes a checkpoint barrier (one consistent durable cut
+    /// across all files — their bytes are untouched, so resume stays
+    /// byte-identical) and surfaces
+    /// [`CsbError::Transient`](crate::error::CsbError::Transient) to the
+    /// caller, which requeues the job for later resume.
     pub fn with_stop_flag(mut self, flag: Arc<AtomicBool>) -> Self {
         self.stop = Some(flag);
         self
     }
 
+    /// Makes everything written so far durable and records it: flush + fsync
+    /// every file, then atomically replace the manifest.
+    fn barrier(&mut self) -> Result<(), StoreError> {
+        let _span = csb_obs::span_cat("checkpoint.write", "store");
+        for w in &mut self.writers {
+            w.flush()?;
+            w.get_mut().get_ref().sync_data()?;
+        }
+        let shard_state = |w: &StoreWriter<_>| ShardCheckpoint {
+            bytes_durable: w.bytes_written(),
+            chunks: w.chunks().to_vec(),
+        };
+        let manifest = CheckpointManifest {
+            identity: self.identity.clone(),
+            chunk_records: self.chunk_records as u64,
+            store_version: self.writers[0].version(),
+            vertices_durable: self.vertices_chunked,
+            edges_durable: self.edges_chunked,
+            shards: self.writers.iter().map(shard_state).collect(),
+        };
+        manifest.save(&self.dir)?;
+        self.chunks_since_barrier = 0;
+        csb_obs::counter_add("checkpoint.barriers", 1);
+        csb_obs::counter_add(
+            "checkpoint.bytes_durable",
+            manifest.shards.iter().map(|s| s.bytes_durable).sum(),
+        );
+        csb_obs::status::note_barrier(manifest.shards.iter().map(|s| s.chunks.len() as u64).sum());
+        Ok(())
+    }
+}
+
+impl Layout for CheckpointedLayout {
+    type Sealed = ();
+
     fn write_chunk(
         &mut self,
         kind: ChunkKind,
         records: u64,
-        payload: &[u8],
+        raw_payload: Vec<u8>,
     ) -> Result<(), StoreError> {
         if self.stop.as_ref().is_some_and(|f| f.load(Ordering::Relaxed)) {
             self.barrier()?;
@@ -371,9 +462,9 @@ impl CheckpointedGraphSink {
                 "preempted: stop flag set at chunk boundary (checkpoint barrier taken)".into(),
             ));
         }
-        if let Some(n) = self.kill_after_chunks {
+        if let Some((n, abort_process)) = self.kill_after_chunks {
             if self.chunks_written >= n {
-                if self.kill_aborts_process {
+                if abort_process {
                     std::process::abort();
                 }
                 return Err(StoreError::Transient(format!(
@@ -381,7 +472,13 @@ impl CheckpointedGraphSink {
                 )));
             }
         }
-        self.writer.write_chunk(kind, records, payload)?;
+        let shard = place(kind, &mut self.body_chunks_written, self.writers.len());
+        self.writers[shard].write_chunk(kind, records, &raw_payload)?;
+        if self.shard_set.is_some() {
+            // Counted where the threaded layout counts it: per shard-file
+            // chunk, so a plain store file reports none.
+            csb_obs::counter_add("store.shard_chunks", 1);
+        }
         self.chunks_written += 1;
         match kind {
             ChunkKind::Vertex => self.vertices_chunked += records,
@@ -394,114 +491,36 @@ impl CheckpointedGraphSink {
         Ok(())
     }
 
-    /// Makes everything written so far durable and records it: flush, fsync
-    /// the store file, then atomically replace the manifest.
-    fn barrier(&mut self) -> Result<(), StoreError> {
-        let _span = csb_obs::span_cat("checkpoint.write", "store");
-        self.writer.flush()?;
-        self.writer.get_mut().get_ref().sync_data()?;
-        let manifest = CheckpointManifest {
-            identity: self.identity.clone(),
-            chunk_records: self.chunk_records as u64,
-            vertices_durable: self.vertices_chunked,
-            edges_durable: self.edges_chunked,
-            bytes_durable: self.writer.bytes_written(),
-            chunks: self.writer.chunks().to_vec(),
-        };
-        manifest.save(&self.dir)?;
-        self.chunks_since_barrier = 0;
-        csb_obs::counter_add("checkpoint.barriers", 1);
-        csb_obs::counter_add("checkpoint.bytes_durable", manifest.bytes_durable);
-        csb_obs::status::note_barrier(manifest.chunks.len() as u64);
-        Ok(())
-    }
-
-    fn flush_full_vertex_chunks(&mut self) -> Result<(), StoreError> {
-        while self.vertices.len() >= self.chunk_records {
-            let rest = self.vertices.split_off(self.chunk_records);
-            let chunk = std::mem::replace(&mut self.vertices, rest);
-            let payload: Vec<u8> = chunk.iter().flat_map(|ip| ip.to_le_bytes()).collect();
-            self.write_chunk(ChunkKind::Vertex, chunk.len() as u64, &payload)?;
+    /// Seals every file, writes the shard-set manifest of a sharded run, and
+    /// removes the checkpoint manifest (the run completed; there is nothing
+    /// left to resume).
+    fn seal(self) -> Result<(), StoreError> {
+        for w in self.writers {
+            w.finish()?;
         }
-        Ok(())
-    }
-
-    fn flush_full_edge_chunks(&mut self) -> Result<(), StoreError> {
-        while self.src.len() >= self.chunk_records {
-            let rest_src = self.src.split_off(self.chunk_records);
-            let rest_dst = self.dst.split_off(self.chunk_records);
-            let rest_props = self.props.split_off(self.chunk_records);
-            let src = std::mem::replace(&mut self.src, rest_src);
-            let dst = std::mem::replace(&mut self.dst, rest_dst);
-            let props = std::mem::replace(&mut self.props, rest_props);
-            let payload = encode_edge_chunk(&src, &dst, &props);
-            self.write_chunk(ChunkKind::Edge, src.len() as u64, &payload)?;
+        if let Some((path, manifest)) = &self.shard_set {
+            manifest.save(path)?;
         }
-        Ok(())
-    }
-
-    /// Flushes the partial buffers, seals the file, and removes the manifest
-    /// (the run completed; there is nothing left to resume).
-    pub fn finish(mut self) -> Result<(), StoreError> {
-        if !self.vertices.is_empty() {
-            let payload: Vec<u8> = self.vertices.iter().flat_map(|ip| ip.to_le_bytes()).collect();
-            let n = self.vertices.len() as u64;
-            self.vertices.clear();
-            self.write_chunk(ChunkKind::Vertex, n, &payload)?;
-        }
-        if !self.src.is_empty() {
-            let payload = encode_edge_chunk(&self.src, &self.dst, &self.props);
-            let n = self.src.len() as u64;
-            self.src.clear();
-            self.dst.clear();
-            self.props.clear();
-            self.write_chunk(ChunkKind::Edge, n, &payload)?;
-        }
-        self.writer.finish()?;
         std::fs::remove_file(CheckpointManifest::path_in(&self.dir)).ok();
         Ok(())
     }
-}
 
-impl EdgeSink for CheckpointedGraphSink {
-    fn push_vertices(&mut self, ips: &[u32]) -> Result<(), StoreError> {
-        let skip = (self.skip_vertices as usize).min(ips.len());
-        self.skip_vertices -= skip as u64;
-        self.vertices.extend_from_slice(&ips[skip..]);
-        self.flush_full_vertex_chunks()
+    fn durable(&self, kind: ChunkKind) -> u64 {
+        match kind {
+            ChunkKind::Vertex => self.vertices_chunked,
+            ChunkKind::Edge => self.edges_chunked,
+            _ => 0,
+        }
     }
 
-    fn push_edges(
-        &mut self,
-        src: &[u32],
-        dst: &[u32],
-        props: &[EdgeProperties],
-    ) -> Result<(), StoreError> {
-        assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
-        assert_eq!(src.len(), props.len(), "props length mismatch");
-        let skip = (self.skip_edges as usize).min(src.len());
-        self.skip_edges -= skip as u64;
-        self.src.extend_from_slice(&src[skip..]);
-        self.dst.extend_from_slice(&dst[skip..]);
-        self.props.extend_from_slice(&props[skip..]);
-        self.flush_full_edge_chunks()
-    }
-
-    fn resume_skip_vertices(&self) -> u64 {
-        self.skip_vertices
-    }
-
-    fn resume_skip_edges(&self) -> u64 {
-        self.skip_edges
-    }
-
-    fn note_skipped_edges(&mut self, n: u64) {
-        assert!(
-            n <= self.skip_edges,
-            "producer skipped {n} edges but only {} are durable",
-            self.skip_edges
-        );
-        self.skip_edges -= n;
+    /// A fresh run records the sink's chunk size for its manifests; a
+    /// resumed one keeps the manifest's — changing it would break
+    /// byte-identity with the uninterrupted run.
+    fn chunk_records(&mut self, requested: usize) -> usize {
+        if !self.resumed {
+            self.chunk_records = requested;
+        }
+        self.chunk_records
     }
 }
 
@@ -509,83 +528,69 @@ impl EdgeSink for CheckpointedGraphSink {
 mod tests {
     use super::*;
     use crate::error::CsbError;
-    use crate::sink::GraphStoreSink;
-    use csb_net::flow::{Protocol, TcpConnState};
+    use crate::sink::{EdgeSink, StoreSink};
+    use csb_graph::EdgeProperties;
+    use std::io::Write;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("csb-ckpt-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&d).ok();
         std::fs::create_dir_all(&d).expect("mkdir");
         d
-    }
-
-    fn prop(i: u64) -> EdgeProperties {
-        EdgeProperties {
-            protocol: Protocol::from_number([6, 17, 1][(i % 3) as usize]).unwrap(),
-            src_port: (i % 60_000) as u16,
-            dst_port: (i % 1024) as u16,
-            duration_ms: i * 3,
-            out_bytes: i * 100,
-            in_bytes: i * 41,
-            out_pkts: i,
-            in_pkts: i / 2,
-            state: TcpConnState::from_code(i % 4).unwrap(),
-        }
     }
 
     fn identity() -> CheckpointIdentity {
         CheckpointIdentity { generator: "pgpba".into(), config_hash: 0xC0FFEE, master_seed: 42 }
     }
 
-    /// Pushes `n_vertices` + `n_edges` deterministic records into `sink`,
-    /// starting the edge stream at `from_edge`.
-    fn push_records<S: EdgeSink>(sink: &mut S, n_vertices: u32, n_edges: u64, from_edge: u64) {
-        let ips: Vec<u32> = (0..n_vertices).map(|i| 0xC0A8_0000 + i).collect();
-        sink.push_vertices(&ips).expect("vertices");
-        let mut e = from_edge;
-        while e < n_edges {
-            let batch = 97.min(n_edges - e);
-            let src: Vec<u32> = (e..e + batch).map(|i| (i % n_vertices as u64) as u32).collect();
-            let dst: Vec<u32> =
-                (e..e + batch).map(|i| ((i * 7 + 1) % n_vertices as u64) as u32).collect();
-            let props: Vec<EdgeProperties> = (e..e + batch).map(prop).collect();
-            sink.push_edges(&src, &dst, &props).expect("edges");
-            e += batch;
-        }
+    /// An abandoned (killed without finish) run of `shards` files with a
+    /// barrier after every chunk: returns the store path and checkpoint dir.
+    fn abandoned_run(tag: &str, shards: usize) -> (PathBuf, PathBuf) {
+        let dir = temp_dir(tag);
+        let store = dir.join("g.csbstore");
+        let layout =
+            CheckpointedLayout::create(&store, &dir, identity(), shards, Compression::None)
+                .expect("create")
+                .with_checkpoint_every(1);
+        let mut sink = StoreSink::new(layout).with_chunk_records(64);
+        sink.push_vertices(&(0..50).collect::<Vec<u32>>()).expect("vertices");
+        let ends: Vec<u32> = (0..500).map(|i| i % 50).collect();
+        sink.push_edges(&ends, &ends, &vec![EdgeProperties::placeholder(); 500]).expect("edges");
+        (store, dir)
+    }
+
+    fn entry(kind: ChunkKind, records: u64, offset: u64, payload_len: u64) -> ChunkEntry {
+        ChunkEntry { kind, records, offset, payload_len, crc32: 7, columns: vec![] }
     }
 
     #[test]
     fn manifest_round_trips() {
-        let m = CheckpointManifest {
-            identity: identity(),
-            chunk_records: 512,
-            vertices_durable: 100,
-            edges_durable: 2048,
-            bytes_durable: 9000,
+        let file = |bytes_durable| ShardCheckpoint {
+            bytes_durable,
             chunks: vec![
-                ChunkEntry {
-                    kind: ChunkKind::Vertex,
-                    records: 100,
-                    offset: 16,
-                    payload_len: 400,
-                    crc32: 7,
-                    columns: vec![],
-                },
-                ChunkEntry {
-                    kind: ChunkKind::Edge,
-                    records: 512,
-                    offset: 444,
-                    payload_len: 27_648,
-                    crc32: 9,
-                    columns: vec![],
-                },
+                entry(ChunkKind::Vertex, 100, 16, 400),
+                entry(ChunkKind::Edge, 512, 444, 27_648),
             ],
         };
-        let dir = temp_dir("manifest");
-        m.save(&dir).expect("save");
-        assert!(CheckpointManifest::exists(&dir));
-        let back = CheckpointManifest::load(&dir).expect("load");
-        assert_eq!(m, back);
-        std::fs::remove_dir_all(&dir).ok();
+        // One file is a CSBCKPT1 manifest, several a CSBCKPT2 one.
+        for shards in [vec![file(9000)], vec![file(9000), file(16), file(77)]] {
+            let m = CheckpointManifest {
+                identity: identity(),
+                chunk_records: 512,
+                store_version: FORMAT_VERSION,
+                vertices_durable: 100,
+                edges_durable: 2048,
+                shards,
+            };
+            let dir = temp_dir("manifest");
+            m.save(&dir).expect("save");
+            assert!(CheckpointManifest::exists(&dir));
+            let bytes = std::fs::read(CheckpointManifest::path_in(&dir)).expect("read");
+            let magic = if m.shards.len() == 1 { MANIFEST_MAGIC } else { SHARDED_CKPT_MAGIC };
+            assert_eq!(bytes[..8], magic);
+            assert_eq!(CheckpointManifest::load(&dir).expect("load"), m);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
@@ -593,10 +598,10 @@ mod tests {
         let m = CheckpointManifest {
             identity: identity(),
             chunk_records: 64,
+            store_version: FORMAT_VERSION,
             vertices_durable: 0,
             edges_durable: 0,
-            bytes_durable: 16,
-            chunks: vec![],
+            shards: vec![ShardCheckpoint { bytes_durable: 16, chunks: vec![] }],
         };
         let dir = temp_dir("corrupt");
         m.save(&dir).expect("save");
@@ -620,172 +625,47 @@ mod tests {
     }
 
     #[test]
-    fn uninterrupted_checkpointed_run_matches_plain_sink_bytes() {
-        let dir = temp_dir("clean");
-        let (n_v, n_e) = (300u32, 5000u64);
-
-        let mut plain = GraphStoreSink::new(Vec::new()).expect("plain").with_chunk_records(512);
-        push_records(&mut plain, n_v, n_e, 0);
-        let want = plain.finish().expect("finish plain");
-
-        let store = dir.join("g.csbstore");
-        let mut ckpt = CheckpointedGraphSink::create(&store, &dir, identity())
-            .expect("create")
-            .with_chunk_records(512)
-            .with_checkpoint_every(1);
-        push_records(&mut ckpt, n_v, n_e, 0);
-        ckpt.finish().expect("finish ckpt");
-
-        assert_eq!(std::fs::read(&store).expect("read"), want, "checkpointing changed the bytes");
-        assert!(!CheckpointManifest::exists(&dir), "finish must remove the manifest");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn killed_run_resumes_to_identical_bytes() {
-        let dir = temp_dir("resume");
-        let (n_v, n_e) = (300u32, 9000u64);
-
-        let mut plain = GraphStoreSink::new(Vec::new()).expect("plain").with_chunk_records(512);
-        push_records(&mut plain, n_v, n_e, 0);
-        let want = plain.finish().expect("finish plain");
-
-        // Killed run: the fault hook stops the sink after 5 chunks; barriers
-        // fired every chunk, so the manifest covers the durable prefix.
-        let store = dir.join("g.csbstore");
-        let mut killed = CheckpointedGraphSink::create(&store, &dir, identity())
-            .expect("create")
-            .with_chunk_records(512)
-            .with_checkpoint_every(1)
-            .with_kill_after_chunks(5, false);
-        let ips: Vec<u32> = (0..n_v).map(|i| 0xC0A8_0000 + i).collect();
-        killed.push_vertices(&ips).expect("vertices fit in buffers");
-        let mut e = 0u64;
-        let err = loop {
-            let batch = 97.min(n_e - e);
-            let src: Vec<u32> = (e..e + batch).map(|i| (i % n_v as u64) as u32).collect();
-            let dst: Vec<u32> = (e..e + batch).map(|i| ((i * 7 + 1) % n_v as u64) as u32).collect();
-            let props: Vec<EdgeProperties> = (e..e + batch).map(prop).collect();
-            match killed.push_edges(&src, &dst, &props) {
-                Ok(()) => e += batch,
-                Err(err) => break err,
+    fn resume_rejects_wrong_identity_and_compression() {
+        for shards in [1usize, 2] {
+            let (store, dir) = abandoned_run("reject", shards);
+            let resume = |id, n, c| CheckpointedLayout::resume(&store, &dir, id, n, c);
+            for wrong in [
+                CheckpointIdentity { generator: "pgsk".into(), ..identity() },
+                CheckpointIdentity { config_hash: 1, ..identity() },
+                CheckpointIdentity { master_seed: 43, ..identity() },
+            ] {
+                let err = resume(wrong, shards, Compression::None).expect_err("identity");
+                assert!(matches!(err, CsbError::Mismatch(_)), "got {err}");
             }
-        };
-        assert!(err.is_transient(), "injected kill must classify as transient: {err}");
-        drop(killed);
-        // Simulate the torn tail a SIGKILL can leave past the last barrier.
-        let mut f = OpenOptions::new().append(true).open(&store).expect("open");
-        f.write_all(&[0xDE, 0xAD, 0xBE, 0xEF]).expect("tear");
-        drop(f);
-
-        // Resume: durable prefix is kept, the rest of the stream re-pushed.
-        let m = CheckpointManifest::load(&dir).expect("manifest");
-        assert_eq!(m.chunk_records, 512);
-        let mut resumed = CheckpointedGraphSink::resume(&store, &dir, identity()).expect("resume");
-        assert_eq!(resumed.resume_skip_vertices(), m.vertices_durable);
-        assert_eq!(resumed.resume_skip_edges(), m.edges_durable);
-        push_records(&mut resumed, n_v, n_e, 0);
-        resumed.finish().expect("finish resumed");
-
-        assert_eq!(std::fs::read(&store).expect("read"), want, "resume is not byte-identical");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resume_skipping_durable_whole_chunks_is_identical_too() {
-        // The generator-side optimization: skip re-pushing edges below the
-        // last durable chunk boundary after telling the sink.
-        let dir = temp_dir("skip");
-        let (n_v, n_e) = (200u32, 6000u64);
-
-        let mut plain = GraphStoreSink::new(Vec::new()).expect("plain").with_chunk_records(256);
-        push_records(&mut plain, n_v, n_e, 0);
-        let want = plain.finish().expect("finish plain");
-
-        let store = dir.join("g.csbstore");
-        let mut killed = CheckpointedGraphSink::create(&store, &dir, identity())
-            .expect("create")
-            .with_chunk_records(256)
-            .with_checkpoint_every(2)
-            .with_kill_after_chunks(7, false);
-        let ips: Vec<u32> = (0..n_v).map(|i| 0xC0A8_0000 + i).collect();
-        killed.push_vertices(&ips).expect("vertices");
-        let mut e = 0u64;
-        while e < n_e {
-            let batch = 97.min(n_e - e);
-            let src: Vec<u32> = (e..e + batch).map(|i| (i % n_v as u64) as u32).collect();
-            let dst: Vec<u32> = (e..e + batch).map(|i| ((i * 7 + 1) % n_v as u64) as u32).collect();
-            let props: Vec<EdgeProperties> = (e..e + batch).map(prop).collect();
-            if killed.push_edges(&src, &dst, &props).is_err() {
-                break;
+            // A different layout than the one the checkpoint was written
+            // under: fewer files, more files, the other compression.
+            for other in [3 - shards, shards + 2] {
+                let err = resume(identity(), other, Compression::None).expect_err("shard count");
+                let CsbError::Mismatch(msg) = &err else { panic!("got {err}") };
+                assert!(msg.contains(&format!("{shards} store file")), "names the manifest: {msg}");
+                assert!(msg.contains(&format!("requested {other}")), "names the request: {msg}");
             }
-            e += batch;
+            if shards > 1 {
+                let err = resume(identity(), shards, Compression::Columnar).expect_err("codec");
+                assert!(matches!(err, CsbError::Mismatch(_)), "got {err}");
+            }
+            resume(identity(), shards, Compression::None).expect("the matching request resumes");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        drop(killed);
-
-        let mut resumed = CheckpointedGraphSink::resume(&store, &dir, identity()).expect("resume");
-        let durable = resumed.resume_skip_edges();
-        assert!(durable > 0, "kill must land after at least one barrier");
-        // Skip whole durable batches of 100; re-push from the boundary.
-        let boundary = durable / 100 * 100;
-        resumed.note_skipped_edges(boundary);
-        resumed.push_vertices(&ips).expect("vertices");
-        let mut e = boundary;
-        while e < n_e {
-            let batch = 100.min(n_e - e);
-            let src: Vec<u32> = (e..e + batch).map(|i| (i % n_v as u64) as u32).collect();
-            let dst: Vec<u32> = (e..e + batch).map(|i| ((i * 7 + 1) % n_v as u64) as u32).collect();
-            let props: Vec<EdgeProperties> = (e..e + batch).map(prop).collect();
-            resumed.push_edges(&src, &dst, &props).expect("push");
-            e += batch;
-        }
-        resumed.finish().expect("finish");
-        assert_eq!(std::fs::read(&store).expect("read"), want);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn resume_rejects_wrong_identity() {
-        let dir = temp_dir("wrongid");
-        let store = dir.join("g.csbstore");
-        let mut sink = CheckpointedGraphSink::create(&store, &dir, identity())
-            .expect("create")
-            .with_chunk_records(64)
-            .with_checkpoint_every(1);
-        push_records(&mut sink, 50, 500, 0);
-        drop(sink); // killed without finish — manifest stays
-
-        for wrong in [
-            CheckpointIdentity { generator: "pgsk".into(), ..identity() },
-            CheckpointIdentity { config_hash: 1, ..identity() },
-            CheckpointIdentity { master_seed: 43, ..identity() },
-        ] {
-            let err =
-                CheckpointedGraphSink::resume(&store, &dir, wrong).expect_err("identity mismatch");
-            assert!(matches!(err, CsbError::Mismatch(_)), "got {err}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn resume_detects_corrupt_durable_chunk() {
-        let dir = temp_dir("tornchunk");
-        let store = dir.join("g.csbstore");
-        let mut sink = CheckpointedGraphSink::create(&store, &dir, identity())
-            .expect("create")
-            .with_chunk_records(64)
-            .with_checkpoint_every(1);
-        push_records(&mut sink, 50, 500, 0);
-        drop(sink);
-
+        let (store, dir) = abandoned_run("tornchunk", 1);
         let m = CheckpointManifest::load(&dir).expect("manifest");
-        let last = m.chunks.last().expect("chunks").clone();
+        let last = m.shards[0].chunks.last().expect("chunks").clone();
         let mut f = OpenOptions::new().write(true).open(&store).expect("open");
         f.seek(SeekFrom::Start(last.offset + 28 + last.payload_len / 2)).expect("seek");
         f.write_all(&[0xFF]).expect("flip");
         drop(f);
 
-        let err = CheckpointedGraphSink::resume(&store, &dir, identity()).expect_err("torn");
+        let err = CheckpointedLayout::resume(&store, &dir, identity(), 1, Compression::None)
+            .expect_err("torn");
         assert!(matches!(err, CsbError::Corrupt { .. }), "got {err}");
         std::fs::remove_dir_all(&dir).ok();
     }

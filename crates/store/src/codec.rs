@@ -99,6 +99,14 @@ impl Compression {
             Compression::Columnar => "columnar",
         }
     }
+
+    /// The store format version this mode writes.
+    pub const fn version(self) -> u32 {
+        match self {
+            Compression::None => crate::format::FORMAT_VERSION,
+            Compression::Columnar => crate::format::FORMAT_VERSION_V2,
+        }
+    }
 }
 
 const fn zigzag_encode(v: i64) -> u64 {
@@ -467,7 +475,12 @@ mod tests {
         let props: Vec<EdgeProperties> = (0..n).map(|_| EdgeProperties::placeholder()).collect();
         let src: Vec<u32> = (0..n as u32).collect();
         let dst: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(2654435761)).collect();
-        let raw = crate::sink::encode_edge_chunk(&src, &dst, &props);
+        // The raw payload of the one edge chunk a v1 store of these records holds.
+        let writer = crate::StoreWriter::new(Vec::new(), crate::FileKind::Graph).unwrap();
+        let mut sink = crate::StoreSink::new(writer);
+        crate::EdgeSink::push_edges(&mut sink, &src, &dst, &props).unwrap();
+        let file = std::io::Cursor::new(sink.finish().unwrap());
+        let raw = crate::StoreReader::new(file).unwrap().read_chunk_payload(0).unwrap();
         let (stored, cols) = encode_chunk_columns(ChunkKind::Edge, n, &raw);
         assert_eq!(cols.len(), 11);
         assert!(stored.len() < raw.len(), "placeholder props are highly compressible");

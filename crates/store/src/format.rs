@@ -29,6 +29,12 @@
 //! readable by a v2 reader unchanged (empty column directory ⇒ raw layout).
 
 use crate::codec::{Codec, ColumnCodec};
+use crate::crc32::crc32;
+use csb_graph::EdgeProperties;
+use csb_net::flow::{FlowRecord, Protocol, TcpConnState};
+use csb_net::{AttackClass, FlowLabel, LabeledFlow};
+use std::io::Write;
+use std::path::Path;
 
 /// File magic, first 8 bytes.
 pub const FILE_MAGIC: [u8; 8] = *b"CSBSTOR1";
@@ -96,6 +102,10 @@ pub enum ChunkKind {
 }
 
 impl ChunkKind {
+    /// Every chunk kind, in [`ChunkKind::code`] order.
+    pub const ALL: [ChunkKind; 4] =
+        [ChunkKind::Vertex, ChunkKind::Edge, ChunkKind::Flow, ChunkKind::LabeledFlow];
+
     /// Stable byte code.
     pub const fn code(self) -> u8 {
         match self {
@@ -119,12 +129,7 @@ impl ChunkKind {
 
     /// Payload bytes per record of this chunk kind.
     pub fn record_width(self) -> usize {
-        match self {
-            ChunkKind::Vertex => 4,
-            ChunkKind::Edge => EDGE_COLUMNS.iter().map(|c| c.width).sum(),
-            ChunkKind::Flow => FLOW_COLUMNS.iter().map(|c| c.width).sum(),
-            ChunkKind::LabeledFlow => LABELED_FLOW_COLUMNS.iter().map(|c| c.width).sum(),
-        }
+        chunk_schema(self).iter().map(|c| c.width).sum()
     }
 }
 
@@ -179,27 +184,21 @@ pub const FLOW_COLUMNS: [Column; 14] = [
 
 /// Labeled flow chunk schema: [`FLOW_COLUMNS`] plus the campaign
 /// ground-truth label columns (campaign id, kill-chain stage index, attack
-/// class code). Campaign id 0 = benign, so unlabeled v1 flow chunks read
-/// back as all-benign without translation.
-pub const LABELED_FLOW_COLUMNS: [Column; 17] = [
-    col("SRC_IP", 4),
-    col("DST_IP", 4),
-    col("PROTOCOL", 1),
-    col("SRC_PORT", 2),
-    col("DEST_PORT", 2),
-    col("DURATION", 8),
-    col("OUT_BYTES", 8),
-    col("IN_BYTES", 8),
-    col("OUT_PKTS", 8),
-    col("IN_PKTS", 8),
-    col("STATE", 1),
-    col("SYN_COUNT", 4),
-    col("ACK_COUNT", 4),
-    col("FIRST_TS_MICROS", 8),
-    col("CAMPAIGN", 4),
-    col("STAGE", 1),
-    col("CLASS", 1),
-];
+/// class code) — built from the flow schema, so the two cannot drift apart.
+/// Campaign id 0 = benign, so unlabeled v1 flow chunks read back as
+/// all-benign without translation.
+pub const LABELED_FLOW_COLUMNS: [Column; 17] = {
+    let mut cols = [col("", 0); 17];
+    let mut i = 0;
+    while i < FLOW_COLUMNS.len() {
+        cols[i] = FLOW_COLUMNS[i];
+        i += 1;
+    }
+    cols[14] = col("CAMPAIGN", 4);
+    cols[15] = col("STAGE", 1);
+    cols[16] = col("CLASS", 1);
+    cols
+};
 
 /// Vertex chunk schema: the single ip column.
 pub const VERTEX_COLUMNS: [Column; 1] = [col("IP", 4)];
@@ -217,6 +216,145 @@ pub fn chunk_schema(kind: ChunkKind) -> &'static [Column] {
 /// Byte offset of column `index` inside a chunk payload of `records` records.
 pub fn column_offset(schema: &[Column], index: usize, records: usize) -> usize {
     schema[..index].iter().map(|c| c.width * records).sum()
+}
+
+/// A record kind the store can hold. [`Record::KIND`] names its column
+/// schema ([`chunk_schema`]); the two methods map one record to and from one
+/// value per schema column. The sink's staging and the reader's batch decode
+/// are written once against this trait, so a new record kind is a schema
+/// constant and one impl — not another copy of the writer.
+pub trait Record: Sized {
+    /// The chunk kind (and so the schema) records of this type are stored as.
+    const KIND: ChunkKind;
+
+    /// The value of schema column `col`, widened to `u64`.
+    fn column(&self, col: usize) -> u64;
+
+    /// Rebuilds a record from its column values: `v(col)` is the value of
+    /// schema column `col`. `at` is the file offset of the chunk, for error
+    /// reporting.
+    fn from_columns(v: impl Fn(usize) -> u64, at: u64) -> Result<Self, StoreError>;
+}
+
+/// An edge as stored: source and target vertex id plus the nine attributes.
+pub type EdgeRecord = (u32, u32, EdgeProperties);
+
+/// Attribute `i` of the nine NetFlow attributes, in the order the edge and
+/// flow schemas share (`PROTOCOL` … `STATE`).
+fn attribute(p: &EdgeProperties, i: usize) -> u64 {
+    match i {
+        0 => p.protocol.number() as u64,
+        1 => p.src_port as u64,
+        2 => p.dst_port as u64,
+        3 => p.duration_ms,
+        4 => p.out_bytes,
+        5 => p.in_bytes,
+        6 => p.out_pkts,
+        7 => p.in_pkts,
+        _ => p.state.code(),
+    }
+}
+
+/// Inverse of [`attribute`]: `v(i)` is the value of attribute `i`.
+fn attributes_from(v: impl Fn(usize) -> u64, at: u64) -> Result<EdgeProperties, StoreError> {
+    Ok(EdgeProperties {
+        protocol: Protocol::from_number(v(0) as u8)
+            .ok_or_else(|| corrupt(at, format!("bad protocol {}", v(0))))?,
+        src_port: v(1) as u16,
+        dst_port: v(2) as u16,
+        duration_ms: v(3),
+        out_bytes: v(4),
+        in_bytes: v(5),
+        out_pkts: v(6),
+        in_pkts: v(7),
+        state: TcpConnState::from_code(v(8))
+            .ok_or_else(|| corrupt(at, format!("bad state {}", v(8))))?,
+    })
+}
+
+impl Record for u32 {
+    const KIND: ChunkKind = ChunkKind::Vertex;
+
+    fn column(&self, _col: usize) -> u64 {
+        *self as u64
+    }
+
+    fn from_columns(v: impl Fn(usize) -> u64, _at: u64) -> Result<Self, StoreError> {
+        Ok(v(0) as u32)
+    }
+}
+
+impl Record for EdgeRecord {
+    const KIND: ChunkKind = ChunkKind::Edge;
+
+    fn column(&self, col: usize) -> u64 {
+        match col {
+            0 => self.0 as u64,
+            1 => self.1 as u64,
+            _ => attribute(&self.2, col - 2),
+        }
+    }
+
+    fn from_columns(v: impl Fn(usize) -> u64, at: u64) -> Result<Self, StoreError> {
+        Ok((v(0) as u32, v(1) as u32, attributes_from(|i| v(i + 2), at)?))
+    }
+}
+
+impl Record for FlowRecord {
+    const KIND: ChunkKind = ChunkKind::Flow;
+
+    fn column(&self, col: usize) -> u64 {
+        match col {
+            0 => self.src_ip as u64,
+            1 => self.dst_ip as u64,
+            2..=10 => attribute(&EdgeProperties::from_flow(self), col - 2),
+            11 => self.syn_count as u64,
+            12 => self.ack_count as u64,
+            _ => self.first_ts_micros,
+        }
+    }
+
+    fn from_columns(v: impl Fn(usize) -> u64, at: u64) -> Result<Self, StoreError> {
+        let p = attributes_from(|i| v(i + 2), at)?;
+        Ok(FlowRecord {
+            src_ip: v(0) as u32,
+            dst_ip: v(1) as u32,
+            protocol: p.protocol,
+            src_port: p.src_port,
+            dst_port: p.dst_port,
+            duration_ms: p.duration_ms,
+            out_bytes: p.out_bytes,
+            in_bytes: p.in_bytes,
+            out_pkts: p.out_pkts,
+            in_pkts: p.in_pkts,
+            state: p.state,
+            syn_count: v(11) as u32,
+            ack_count: v(12) as u32,
+            first_ts_micros: v(13),
+        })
+    }
+}
+
+impl Record for LabeledFlow {
+    const KIND: ChunkKind = ChunkKind::LabeledFlow;
+
+    fn column(&self, col: usize) -> u64 {
+        match col {
+            14 => self.label.campaign as u64,
+            15 => self.label.stage as u64,
+            16 => self.label.class.code() as u64,
+            _ => self.flow.column(col),
+        }
+    }
+
+    fn from_columns(v: impl Fn(usize) -> u64, at: u64) -> Result<Self, StoreError> {
+        let class = AttackClass::from_code(v(16) as u8)
+            .ok_or_else(|| corrupt(at, format!("invalid attack class code {}", v(16))))?;
+        Ok(LabeledFlow {
+            flow: FlowRecord::from_columns(&v, at)?,
+            label: FlowLabel { campaign: v(14) as u32, stage: v(15) as u8, class },
+        })
+    }
 }
 
 /// Footer index entry describing one chunk.
@@ -322,6 +460,114 @@ pub(crate) fn corrupt(offset: u64, message: impl Into<String>) -> StoreError {
     StoreError::Corrupt { offset, message: message.into() }
 }
 
+/// Appends the trailing CRC32 that frames every manifest (shard set and both
+/// checkpoint kinds): `magic | version u32 | fields… | crc32 of all before`.
+pub(crate) fn seal_manifest(mut body: Vec<u8>) -> Vec<u8> {
+    let crc = crc32(&body);
+    body.extend_from_slice(&crc.to_le_bytes());
+    body
+}
+
+/// Replaces `dest` with `bytes` atomically: write `tmp`, fsync, rename. A
+/// crash mid-save leaves the previous file intact.
+pub(crate) fn save_atomically(tmp: &Path, dest: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let mut f = std::fs::File::create(tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    drop(f);
+    std::fs::rename(tmp, dest)?;
+    Ok(())
+}
+
+/// Cursor over a manifest's fields. Manifests are recovery state read back
+/// after a crash, so every length they carry is checked against the bytes
+/// that remain before anything is sliced or reserved.
+pub(crate) struct ManifestReader<'a> {
+    body: &'a [u8],
+    pos: usize,
+    what: &'static str,
+}
+
+impl<'a> ManifestReader<'a> {
+    /// Validates the frame (magic, CRC, version) and positions the cursor on
+    /// the first field after the version. `what` prefixes error messages.
+    pub(crate) fn open(
+        bytes: &'a [u8],
+        what: &'static str,
+        magic: &[u8; 8],
+        version: u32,
+    ) -> Result<Self, StoreError> {
+        let bad = |msg: &str| corrupt(0, format!("{what}: {msg}"));
+        if bytes.len() < 16 || bytes[..8] != *magic {
+            return Err(bad("bad magic"));
+        }
+        let (body, stored_crc) = bytes.split_at(bytes.len() - 4);
+        if crc32(body).to_le_bytes() != *stored_crc {
+            return Err(bad("CRC mismatch"));
+        }
+        let mut r = ManifestReader { body, pos: 8, what };
+        if r.u32()? != version {
+            return Err(bad("unsupported version"));
+        }
+        Ok(r)
+    }
+
+    pub(crate) fn bad(&self, msg: &str) -> StoreError {
+        corrupt(self.pos as u64, format!("{}: {msg}", self.what))
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+        let end = self.pos.checked_add(n).filter(|&e| e <= self.body.len());
+        let s = &self.body[self.pos..end.ok_or_else(|| self.bad("truncated"))?];
+        self.pos += n;
+        Ok(s)
+    }
+
+    pub(crate) fn u8(&mut self) -> Result<u8, StoreError> {
+        Ok(self.take(1)?[0])
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, StoreError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, StoreError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// Accepts `n` as the number of entries that follow only if that many
+    /// entries of at least `min_len` bytes each fit in the bytes that remain,
+    /// so a CRC-valid manifest with an inflated count cannot make the caller
+    /// reserve more than the file could hold.
+    pub(crate) fn count(&self, n: u64, min_len: usize) -> Result<usize, StoreError> {
+        let fits = ((self.body.len() - self.pos) / min_len) as u64;
+        if n > fits {
+            return Err(self.bad("entry count exceeds the bytes that remain"));
+        }
+        Ok(n as usize)
+    }
+
+    /// A `u64` count followed by that many footer entries under `version`
+    /// framing — the durable chunk index of one store file.
+    pub(crate) fn chunk_entries(&mut self, version: u32) -> Result<Vec<ChunkEntry>, StoreError> {
+        let n = self.u64()?;
+        let n = self.count(n, FOOTER_ENTRY_LEN as usize)?;
+        let mut chunks = Vec::with_capacity(n);
+        for _ in 0..n {
+            chunks.push(ChunkEntry::decode_from(self.body, &mut self.pos, version, 0)?);
+        }
+        Ok(chunks)
+    }
+
+    /// Succeeds only if every byte before the CRC was consumed.
+    pub(crate) fn finish(self) -> Result<(), StoreError> {
+        if self.pos != self.body.len() {
+            return Err(self.bad("trailing bytes"));
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,7 +578,8 @@ mod tests {
             assert_eq!(FileKind::from_code(k.code()), Some(k));
         }
         assert_eq!(FileKind::from_code(9), None);
-        for k in [ChunkKind::Vertex, ChunkKind::Edge, ChunkKind::Flow, ChunkKind::LabeledFlow] {
+        for (code, k) in ChunkKind::ALL.into_iter().enumerate() {
+            assert_eq!(k.code() as usize, code, "ALL is in code order");
             assert_eq!(ChunkKind::from_code(k.code()), Some(k));
         }
         assert_eq!(ChunkKind::from_code(9), None);
@@ -343,6 +590,57 @@ mod tests {
         assert_eq!(ChunkKind::Vertex.record_width(), 4);
         assert_eq!(ChunkKind::Edge.record_width(), 54);
         assert_eq!(ChunkKind::Flow.record_width(), 70);
+        assert_eq!(ChunkKind::LabeledFlow.record_width(), 76);
+    }
+
+    #[test]
+    fn labeled_schema_extends_the_flow_schema() {
+        assert_eq!(LABELED_FLOW_COLUMNS[..FLOW_COLUMNS.len()], FLOW_COLUMNS);
+        let labels: Vec<_> =
+            LABELED_FLOW_COLUMNS[FLOW_COLUMNS.len()..].iter().map(|c| (c.name, c.width)).collect();
+        assert_eq!(labels, [("CAMPAIGN", 4), ("STAGE", 1), ("CLASS", 1)]);
+    }
+
+    /// `column` and `from_columns` are inverses over every schema column,
+    /// and every value fits the width its column declares.
+    fn assert_round_trips<R: Record + PartialEq + std::fmt::Debug>(record: R) {
+        let schema = chunk_schema(R::KIND);
+        let values: Vec<u64> = (0..schema.len()).map(|c| record.column(c)).collect();
+        for (v, col) in values.iter().zip(schema) {
+            assert!(col.width == 8 || v >> (8 * col.width) == 0, "{} overflows", col.name);
+        }
+        assert_eq!(R::from_columns(|c| values[c], 0).expect("decodes"), record);
+    }
+
+    #[test]
+    fn record_kinds_round_trip_through_their_schemas() {
+        let flow = FlowRecord {
+            src_ip: u32::MAX,
+            dst_ip: 0x0A00_0001,
+            protocol: Protocol::Udp,
+            src_port: u16::MAX,
+            dst_port: 53,
+            duration_ms: u64::MAX,
+            out_bytes: 1,
+            in_bytes: 2,
+            out_pkts: 3,
+            in_pkts: 4,
+            state: TcpConnState::Sh,
+            syn_count: 5,
+            ack_count: u32::MAX,
+            first_ts_micros: 6,
+        };
+        let label = FlowLabel { campaign: u32::MAX, stage: 3, class: AttackClass::Probe };
+        assert_round_trips(0xC0A8_0001u32);
+        assert_round_trips((7u32, u32::MAX, EdgeProperties::from_flow(&flow)));
+        assert_round_trips(flow);
+        assert_round_trips(LabeledFlow { flow, label });
+        // A byte no enum variant owns is corruption, not a panic.
+        let mut values: Vec<u64> = (0..17).map(|c| LabeledFlow { flow, label }.column(c)).collect();
+        values[16] = 0xEE;
+        assert!(LabeledFlow::from_columns(|c| values[c], 0).is_err());
+        values[2] = 0xEE;
+        assert!(FlowRecord::from_columns(|c| values[c], 0).is_err());
     }
 
     #[test]

@@ -7,24 +7,19 @@
 //! The paper's generators run on Spark precisely because their targets
 //! (2x10^10 edges) exceed one node's memory; this crate is the moral
 //! equivalent of Spark's saved RDDs and shuffle files for our single-node
-//! reproduction. Three layers:
+//! reproduction. One picture covers the write path — **record schema →
+//! re-chunker → layout** — and the read path is its mirror:
 //!
-//! * [`format`] / [`write`] / [`read`] — the chunk format: fixed-width
-//!   columns per edge attribute, per-chunk CRC32, a trailing footer index,
-//!   and a reader with single-column projection ([`read::StoreReader::
-//!   read_column`]) and a bulk [`read::StoreReader::load_graph`] path through
-//!   `PropertyGraph::from_parts`.
-//! * [`sink`] — streaming [`sink::EdgeSink`] / [`sink::FlowSink`] writers so
-//!   generators and the traffic simulator emit chunks as they produce
-//!   records, never holding the full dataset.
-//! * [`spill`] — bucketed spill files ([`spill::SpillWriter`] /
-//!   [`spill::SpillFile`]) with a compact [`spill::SpillCodec`] record
-//!   encoding, used by `csb-engine` when a shuffle exceeds its memory
-//!   budget.
-//! * [`checkpoint`] — fault tolerance: a CRC-validated
-//!   [`checkpoint::CheckpointManifest`] recording the last durable chunk,
-//!   and a [`checkpoint::CheckpointedGraphSink`] that emits barriers every N
-//!   chunks so a killed generation run resumes byte-identically.
+//! * [`format`] — the chunk format (fixed-width columns, per-chunk CRC32,
+//!   trailing footer index) and the [`format::Record`] trait: a record kind
+//!   is a column schema plus one impl.
+//! * [`sink`] — [`sink::StoreSink`], the one re-chunking writer, over a
+//!   [`sink::Layout`]: inline [`write::StoreWriter`], threaded
+//!   [`shard::ShardedLayout`], or [`checkpoint::CheckpointedLayout`] whose
+//!   barriers let a killed run resume byte-identically.
+//! * [`read`] / [`ooc`] — readers, column projection and out-of-core scans;
+//!   a plain file reads as a one-shard set.
+//! * [`spill`] — bucketed spill files backing `csb-engine` shuffles.
 //! * [`error`] — [`error::CsbError`], the suite-wide error enum with a
 //!   transient/fatal classification the retry layer keys off.
 //!
@@ -34,7 +29,7 @@
 //! `store.chunks_read`).
 //!
 //! ```
-//! use csb_store::sink::{save_graph_to, MemoryGraphSink};
+//! use csb_store::sink::save_graph_to;
 //! use csb_store::read::StoreReader;
 //!
 //! let g = csb_graph::NetflowGraph::new();
@@ -55,21 +50,19 @@ pub mod sink;
 pub mod spill;
 pub mod write;
 
-pub use checkpoint::{CheckpointIdentity, CheckpointManifest, CheckpointedGraphSink};
+pub use checkpoint::{CheckpointIdentity, CheckpointManifest, CheckpointedLayout};
 pub use codec::{Codec, ColumnCodec, Compression};
 pub use error::CsbError;
-pub use format::{ChunkEntry, ChunkKind, Column, FileKind, StoreError};
+pub use format::{ChunkEntry, ChunkKind, Column, EdgeRecord, FileKind, Record, StoreError};
 pub use ooc::StoreScan;
-pub use read::{ColumnBlock, EdgeBatch, StoreReader};
+pub use read::{ColumnBlock, StoreReader};
 pub use shard::{
-    load_graph_sharded, load_labeled_flows_sharded, open_scan, save_graph_sharded,
-    save_labeled_flows_sharded, CheckpointedShardedGraphSink, ScanSource, ShardSetManifest,
-    ShardedCheckpointManifest, ShardedGraphSink, ShardedScan,
+    load_graph_sharded, save_graph_sharded, save_labeled_flows_sharded, ShardSetManifest,
+    ShardedLayout, ShardedScan,
 };
 pub use sink::{
     load_flows, load_graph, load_labeled_flows, push_graph, save_flows, save_graph, save_graph_to,
-    save_labeled_flows, EdgeSink, FlowSink, FlowStoreSink, GraphStoreSink, LabeledFlowSink,
-    LabeledFlowStoreSink, MemoryGraphSink,
+    save_labeled_flows, EdgeSink, Layout, MemoryGraphSink, StoreSink,
 };
 pub use spill::{SpillCodec, SpillFile, SpillWriter};
 pub use write::StoreWriter;

@@ -242,7 +242,8 @@ impl<R: Read + Seek> EdgeScan for StoreScan<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{push_graph, GraphStoreSink};
+    use crate::sink::{push_graph, StoreSink};
+    use crate::write::StoreWriter;
     use csb_graph::algo::pagerank::{pagerank, PageRankConfig};
     use csb_graph::ooc::{degree_counts_ooc, pagerank_ooc, GraphScan};
     use csb_graph::{EdgeProperties, NetflowGraph, VertexId};
@@ -258,8 +259,8 @@ mod tests {
     }
 
     fn store_bytes(g: &NetflowGraph, chunk_records: usize) -> Vec<u8> {
-        let mut sink =
-            GraphStoreSink::new(Vec::new()).expect("sink").with_chunk_records(chunk_records);
+        let writer = StoreWriter::new(Vec::new(), FileKind::Graph).expect("writer");
+        let mut sink = StoreSink::new(writer).with_chunk_records(chunk_records);
         push_graph(&mut sink, g).expect("push");
         sink.finish().expect("seal")
     }
@@ -313,10 +314,8 @@ mod tests {
 
     #[test]
     fn flow_store_is_rejected() {
-        use crate::sink::{FlowSink, FlowStoreSink};
-        let mut sink = FlowStoreSink::new(Vec::new()).expect("sink");
-        sink.push_flows(&[]).expect("push");
-        let bytes = sink.finish().expect("seal");
+        let bytes =
+            StoreWriter::new(Vec::new(), FileKind::Flows).expect("writer").finish().expect("seal");
         let reader = StoreReader::new(Cursor::new(bytes)).expect("reader");
         assert!(StoreScan::new(reader).is_err());
     }

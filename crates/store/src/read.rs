@@ -11,28 +11,17 @@
 use crate::codec::{decode_column, Codec};
 use crate::crc32::crc32;
 use crate::format::{
-    column_offset, corrupt, ChunkEntry, ChunkKind, Column, FileKind, StoreError, CHUNK_MAGIC,
-    EDGE_COLUMNS, FILE_MAGIC, FLOW_COLUMNS, FORMAT_VERSION, FORMAT_VERSION_V2,
-    LABELED_FLOW_COLUMNS, TRAILER_LEN, TRAILER_MAGIC,
+    chunk_schema, column_offset, corrupt, ChunkEntry, ChunkKind, EdgeRecord, FileKind, Record,
+    StoreError, CHUNK_MAGIC, FILE_MAGIC, FORMAT_VERSION, FORMAT_VERSION_V2, TRAILER_LEN,
+    TRAILER_MAGIC,
 };
 use csb_graph::graph::VertexId;
-use csb_graph::{EdgeProperties, NetflowGraph};
-use csb_net::flow::{FlowRecord, Protocol, TcpConnState};
-use csb_net::{AttackClass, FlowLabel, LabeledFlow};
+use csb_graph::NetflowGraph;
+use csb_net::flow::FlowRecord;
+use csb_net::{FlowLabel, LabeledFlow};
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
-
-/// One decoded edge chunk, column-major.
-#[derive(Debug, Clone, Default)]
-pub struct EdgeBatch {
-    /// Edge sources.
-    pub src: Vec<u32>,
-    /// Edge targets.
-    pub dst: Vec<u32>,
-    /// The nine NetFlow attributes per edge.
-    pub props: Vec<EdgeProperties>,
-}
 
 /// One fetched (but not yet decoded) block of chunk columns: the contiguous
 /// stored bytes covering the requested columns, plus what is needed to
@@ -65,13 +54,19 @@ impl ColumnBlock {
                 return Err(corrupt(self.chunk_offset, "column CRC mismatch"));
             }
         }
-        let raw = decode_column(*codec, enc, *width, self.records, self.chunk_offset)?;
-        Ok(match *width {
-            1 => raw.iter().map(|&b| b as u64).collect(),
-            2 => raw.chunks_exact(2).map(|c| u16::from_le_bytes([c[0], c[1]]) as u64).collect(),
-            4 => u32_col(&raw, 0, self.records).into_iter().map(u64::from).collect(),
-            _ => u64_col(&raw, 0, self.records),
-        })
+        Ok(widen(&decode_column(*codec, enc, *width, self.records, self.chunk_offset)?, *width))
+    }
+}
+
+/// One raw little-endian column of `width`-byte values, widened to `u64`.
+fn widen(raw: &[u8], width: usize) -> Vec<u64> {
+    match width {
+        1 => raw.iter().map(|&b| b as u64).collect(),
+        2 => raw.chunks_exact(2).map(|c| u16::from_le_bytes([c[0], c[1]]) as u64).collect(),
+        4 => {
+            raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap()) as u64).collect()
+        }
+        _ => raw.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect(),
     }
 }
 
@@ -216,92 +211,56 @@ impl<R: Read + Seek> StoreReader<R> {
         Ok(entry)
     }
 
-    /// Decodes vertex chunk `idx` into its ip column.
-    pub fn read_vertex_batch(&mut self, idx: usize) -> Result<Vec<u32>, StoreError> {
-        let n = self.expect_kind(idx, ChunkKind::Vertex)?.records as usize;
-        let payload = self.read_chunk_payload(idx)?;
-        Ok(u32_col(&payload, 0, n))
+    /// Decodes chunk `idx` into records of type `T`, whose kind the chunk
+    /// must have. One schema-driven decoder serves every record kind.
+    pub fn read_batch<T: Record>(&mut self, idx: usize) -> Result<Vec<T>, StoreError> {
+        let mut records = Vec::with_capacity(self.chunks[idx].records as usize);
+        self.for_each_record(idx, |r| records.push(r))?;
+        Ok(records)
     }
 
-    /// Decodes edge chunk `idx` into all eleven columns.
-    pub fn read_edge_batch(&mut self, idx: usize) -> Result<EdgeBatch, StoreError> {
-        let entry = self.expect_kind(idx, ChunkKind::Edge)?;
-        let (n, offset) = (entry.records as usize, entry.offset);
+    /// [`StoreReader::read_batch`] without the intermediate `Vec`: hands
+    /// each decoded record of chunk `idx` to `f`, in order.
+    pub(crate) fn for_each_record<T: Record>(
+        &mut self,
+        idx: usize,
+        mut f: impl FnMut(T),
+    ) -> Result<(), StoreError> {
+        let entry = self.expect_kind(idx, T::KIND)?;
+        let (n, at) = (entry.records as usize, entry.offset);
         let payload = self.read_chunk_payload(idx)?;
-        let at = |i| column_offset(&EDGE_COLUMNS, i, n);
-        let protocol = decode_protocols(&payload[at(2)..], n, offset)?;
-        let src_port = u16_col(&payload, at(3), n);
-        let dst_port = u16_col(&payload, at(4), n);
-        let duration_ms = u64_col(&payload, at(5), n);
-        let out_bytes = u64_col(&payload, at(6), n);
-        let in_bytes = u64_col(&payload, at(7), n);
-        let out_pkts = u64_col(&payload, at(8), n);
-        let in_pkts = u64_col(&payload, at(9), n);
-        let state = decode_states(&payload[at(10)..], n, offset)?;
-        let props = (0..n)
-            .map(|i| EdgeProperties {
-                protocol: protocol[i],
-                src_port: src_port[i],
-                dst_port: dst_port[i],
-                duration_ms: duration_ms[i],
-                out_bytes: out_bytes[i],
-                in_bytes: in_bytes[i],
-                out_pkts: out_pkts[i],
-                in_pkts: in_pkts[i],
-                state: state[i],
-            })
-            .collect();
-        Ok(EdgeBatch { src: u32_col(&payload, at(0), n), dst: u32_col(&payload, at(1), n), props })
-    }
-
-    /// Decodes flow chunk `idx` into [`FlowRecord`]s.
-    pub fn read_flow_batch(&mut self, idx: usize) -> Result<Vec<FlowRecord>, StoreError> {
-        let entry = self.expect_kind(idx, ChunkKind::Flow)?;
-        let (n, offset) = (entry.records as usize, entry.offset);
-        let payload = self.read_chunk_payload(idx)?;
-        decode_flow_fields(&payload, &FLOW_COLUMNS, n, offset)
+        let schema = chunk_schema(T::KIND);
+        if payload.len() != n * T::KIND.record_width() {
+            return Err(corrupt(at, "chunk payload length disagrees with its record count"));
+        }
+        let starts: Vec<usize> = (0..schema.len()).map(|c| column_offset(schema, c, n)).collect();
+        // `schema` is a constant of `T`, so once `from_columns` is inlined
+        // each call below knows its column's width and is one typed load.
+        let value = |i: usize, c: usize| -> u64 {
+            let width = schema[c].width;
+            let b = &payload[starts[c] + i * width..][..width];
+            match width {
+                1 => b[0] as u64,
+                2 => u16::from_le_bytes([b[0], b[1]]) as u64,
+                4 => u32::from_le_bytes(b.try_into().expect("4 bytes")) as u64,
+                _ => u64::from_le_bytes(b.try_into().expect("8 bytes")),
+            }
+        };
+        for i in 0..n {
+            f(T::from_columns(|c| value(i, c), at)?);
+        }
+        Ok(())
     }
 
     /// Decodes flow chunk `idx` into [`LabeledFlow`]s. Accepts both labeled
     /// chunks and plain v1 flow chunks — the latter carry no label columns
     /// and read back as all-benign.
     pub fn read_labeled_flow_batch(&mut self, idx: usize) -> Result<Vec<LabeledFlow>, StoreError> {
-        let entry = &self.chunks[idx];
-        let (kind, n, offset) = (entry.kind, entry.records as usize, entry.offset);
-        match kind {
-            ChunkKind::Flow => Ok(self
-                .read_flow_batch(idx)?
-                .into_iter()
-                .map(|flow| LabeledFlow { flow, label: FlowLabel::BENIGN })
-                .collect()),
-            ChunkKind::LabeledFlow => {
-                let payload = self.read_chunk_payload(idx)?;
-                let flows = decode_flow_fields(&payload, &LABELED_FLOW_COLUMNS, n, offset)?;
-                let at = |i| column_offset(&LABELED_FLOW_COLUMNS, i, n);
-                let campaign = u32_col(&payload, at(14), n);
-                let stage = &payload[at(15)..at(15) + n];
-                let class_codes = &payload[at(16)..at(16) + n];
-                let mut classes = Vec::with_capacity(n);
-                for &c in class_codes {
-                    classes.push(AttackClass::from_code(c).ok_or_else(|| {
-                        corrupt(offset, format!("invalid attack class code {c}"))
-                    })?);
-                }
-                Ok(flows
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, flow)| LabeledFlow {
-                        flow,
-                        label: FlowLabel {
-                            campaign: campaign[i],
-                            stage: stage[i],
-                            class: classes[i],
-                        },
-                    })
-                    .collect())
-            }
-            _ => Err(corrupt(offset, format!("chunk {idx} is not a flow chunk"))),
+        if self.chunks[idx].kind != ChunkKind::Flow {
+            return self.read_batch(idx);
         }
+        let flows = self.read_batch::<FlowRecord>(idx)?;
+        Ok(flows.into_iter().map(|flow| LabeledFlow { flow, label: FlowLabel::BENIGN }).collect())
     }
 
     /// Fetches the named columns of an edge or flow chunk with **one**
@@ -315,14 +274,10 @@ impl<R: Read + Seek> StoreReader<R> {
         assert!(!names.is_empty(), "fetch_columns needs at least one column");
         let _span = csb_obs::span_cat("store.read_chunk", "store");
         let entry = &self.chunks[idx];
-        let schema: &[Column] = match entry.kind {
-            ChunkKind::Edge => &EDGE_COLUMNS,
-            ChunkKind::Flow => &FLOW_COLUMNS,
-            ChunkKind::LabeledFlow => &LABELED_FLOW_COLUMNS,
-            ChunkKind::Vertex => {
-                return Err(corrupt(entry.offset, "vertex chunks have no named columns"))
-            }
-        };
+        if entry.kind == ChunkKind::Vertex {
+            return Err(corrupt(entry.offset, "vertex chunks have no named columns"));
+        }
+        let schema = chunk_schema(entry.kind);
         let n = entry.records as usize;
         let v2 = self.version >= FORMAT_VERSION_V2;
         if v2 && entry.columns.len() != schema.len() {
@@ -389,146 +344,118 @@ impl<R: Read + Seek> StoreReader<R> {
     /// Reconstructs the property graph from every vertex and edge chunk, in
     /// file order, through the bulk `from_parts` constructor.
     pub fn load_graph(&mut self) -> Result<NetflowGraph, StoreError> {
-        if self.kind != FileKind::Graph {
-            return Err(corrupt(12, "not a graph store"));
-        }
-        let mut ips: Vec<u32> = Vec::new();
-        let mut src: Vec<VertexId> = Vec::new();
-        let mut dst: Vec<VertexId> = Vec::new();
-        let mut props: Vec<EdgeProperties> = Vec::new();
-        for idx in 0..self.chunks.len() {
-            match self.chunks[idx].kind {
-                ChunkKind::Vertex => ips.extend(self.read_vertex_batch(idx)?),
-                ChunkKind::Edge => {
-                    let batch = self.read_edge_batch(idx)?;
-                    src.extend(batch.src.into_iter().map(VertexId));
-                    dst.extend(batch.dst.into_iter().map(VertexId));
-                    props.extend(batch.props);
-                }
-                ChunkKind::Flow | ChunkKind::LabeledFlow => {
-                    return Err(corrupt(self.chunks[idx].offset, "flow chunk in a graph store"))
-                }
-            }
-        }
-        let n = ips.len();
-        if src.iter().chain(dst.iter()).any(|v| v.index() >= n) {
-            return Err(corrupt(0, "edge endpoint out of vertex range"));
-        }
-        Ok(NetflowGraph::from_parts(ips, src, dst, props))
+        load_graph_from(std::slice::from_mut(self))
     }
 
     /// Reconstructs the flow list from every flow chunk, in file order.
     /// Labeled chunks are read too, with their labels dropped, so the
     /// unlabeled API works on labeled stores.
     pub fn load_flows(&mut self) -> Result<Vec<FlowRecord>, StoreError> {
-        if self.kind != FileKind::Flows {
-            return Err(corrupt(12, "not a flow store"));
-        }
-        let mut flows = Vec::with_capacity(self.record_count(ChunkKind::Flow) as usize);
-        for idx in 0..self.chunks.len() {
-            match self.chunks[idx].kind {
-                ChunkKind::Flow => flows.extend(self.read_flow_batch(idx)?),
-                _ => flows.extend(self.read_labeled_flow_batch(idx)?.into_iter().map(|l| l.flow)),
-            }
-        }
-        Ok(flows)
+        Ok(self.load_labeled_flows()?.into_iter().map(|l| l.flow).collect())
     }
 
     /// Reconstructs the labeled flow list from every flow chunk, in file
     /// order. Plain v1 flow chunks read back as all-benign ([`FlowLabel`]
     /// campaign id 0) — a v1 store carries no ground truth.
     pub fn load_labeled_flows(&mut self) -> Result<Vec<LabeledFlow>, StoreError> {
-        if self.kind != FileKind::Flows {
-            return Err(corrupt(12, "not a flow store"));
-        }
-        let mut flows = Vec::new();
-        for idx in 0..self.chunks.len() {
-            flows.extend(self.read_labeled_flow_batch(idx)?);
-        }
-        Ok(flows)
+        load_labeled_flows_from(std::slice::from_mut(self))
     }
 }
 
-/// Decodes the 14 [`FlowRecord`] fields from a column-major payload whose
-/// schema starts with [`FLOW_COLUMNS`] (the labeled schema shares that
-/// prefix, so both chunk kinds decode through here).
-fn decode_flow_fields(
-    payload: &[u8],
-    schema: &[Column],
-    n: usize,
-    offset: u64,
-) -> Result<Vec<FlowRecord>, StoreError> {
-    let at = |i| column_offset(schema, i, n);
-    let src_ip = u32_col(payload, at(0), n);
-    let dst_ip = u32_col(payload, at(1), n);
-    let protocol = decode_protocols(&payload[at(2)..], n, offset)?;
-    let src_port = u16_col(payload, at(3), n);
-    let dst_port = u16_col(payload, at(4), n);
-    let duration_ms = u64_col(payload, at(5), n);
-    let out_bytes = u64_col(payload, at(6), n);
-    let in_bytes = u64_col(payload, at(7), n);
-    let out_pkts = u64_col(payload, at(8), n);
-    let in_pkts = u64_col(payload, at(9), n);
-    let state = decode_states(&payload[at(10)..], n, offset)?;
-    let syn_count = u32_col(payload, at(11), n);
-    let ack_count = u32_col(payload, at(12), n);
-    let first_ts = u64_col(payload, at(13), n);
-    Ok((0..n)
-        .map(|i| FlowRecord {
-            src_ip: src_ip[i],
-            dst_ip: dst_ip[i],
-            protocol: protocol[i],
-            src_port: src_port[i],
-            dst_port: dst_port[i],
-            duration_ms: duration_ms[i],
-            out_bytes: out_bytes[i],
-            in_bytes: in_bytes[i],
-            out_pkts: out_pkts[i],
-            in_pkts: in_pkts[i],
-            state: state[i],
-            syn_count: syn_count[i],
-            ack_count: ack_count[i],
-            first_ts_micros: first_ts[i],
-        })
-        .collect())
+/// Validates that the per-shard body-chunk counts are consistent with
+/// round-robin placement over `counts.len()` shards; returns their total.
+pub(crate) fn check_round_robin(counts: &[usize]) -> Result<usize, StoreError> {
+    let total: usize = counts.iter().sum();
+    let s = counts.len();
+    for (i, &n) in counts.iter().enumerate() {
+        let want = (total + s - 1 - i) / s;
+        if n != want {
+            return Err(corrupt(
+                0,
+                format!(
+                    "shard {i} holds {n} edge chunks; round-robin placement of {total} over \
+                     {s} shards requires {want}"
+                ),
+            ));
+        }
+    }
+    Ok(total)
 }
 
-fn u32_col(payload: &[u8], offset: usize, n: usize) -> Vec<u32> {
-    payload[offset..offset + n * 4]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+/// The logical chunk order of a `file`-kind store held in `readers` (one
+/// reader per shard, in shard order; a plain file is a one-shard set), as
+/// `(shard, footer index)` pairs: every vertex chunk in shard then file
+/// order, followed by the body chunks dealt back round-robin — the order the
+/// sink consumed them in. Every loader walks this one list.
+fn logical_chunks<R: Read + Seek>(
+    readers: &[StoreReader<R>],
+    file: FileKind,
+) -> Result<Vec<(usize, usize)>, StoreError> {
+    let mut order = Vec::new();
+    let mut body: Vec<Vec<usize>> = Vec::with_capacity(readers.len());
+    for (s, r) in readers.iter().enumerate() {
+        if r.kind != file {
+            return Err(corrupt(12, format!("not a {file:?} store")));
+        }
+        let mut list = Vec::new();
+        for (idx, c) in r.chunks.iter().enumerate() {
+            match (file, c.kind) {
+                (FileKind::Graph, ChunkKind::Vertex) => order.push((s, idx)),
+                (FileKind::Graph, ChunkKind::Edge)
+                | (FileKind::Flows, ChunkKind::Flow | ChunkKind::LabeledFlow) => list.push(idx),
+                (_, k) => {
+                    return Err(corrupt(c.offset, format!("{k:?} chunk in a {file:?} store")))
+                }
+            }
+        }
+        body.push(list);
+    }
+    let counts: Vec<usize> = body.iter().map(Vec::len).collect();
+    let total = check_round_robin(&counts)?;
+    let shards = readers.len();
+    order.extend((0..total).map(|i| (i % shards, body[i % shards][i / shards])));
+    Ok(order)
 }
 
-fn u16_col(payload: &[u8], offset: usize, n: usize) -> Vec<u16> {
-    payload[offset..offset + n * 2]
-        .chunks_exact(2)
-        .map(|c| u16::from_le_bytes([c[0], c[1]]))
-        .collect()
+/// Reconstructs the property graph held in `readers` (see
+/// [`logical_chunks`]) through the bulk `from_parts` constructor.
+pub(crate) fn load_graph_from<R: Read + Seek>(
+    readers: &mut [StoreReader<R>],
+) -> Result<NetflowGraph, StoreError> {
+    let mut ips: Vec<u32> = Vec::new();
+    let mut src: Vec<VertexId> = Vec::new();
+    let mut dst: Vec<VertexId> = Vec::new();
+    let mut props = Vec::new();
+    let edges: u64 = readers.iter().map(|r| r.record_count(ChunkKind::Edge)).sum();
+    src.reserve(edges as usize);
+    dst.reserve(edges as usize);
+    props.reserve(edges as usize);
+    for (s, idx) in logical_chunks(readers, FileKind::Graph)? {
+        if readers[s].chunks[idx].kind == ChunkKind::Vertex {
+            ips.extend(readers[s].read_batch::<u32>(idx)?);
+            continue;
+        }
+        readers[s].for_each_record(idx, |(from, to, p): EdgeRecord| {
+            src.push(VertexId(from));
+            dst.push(VertexId(to));
+            props.push(p);
+        })?;
+    }
+    let n = ips.len();
+    if src.iter().chain(dst.iter()).any(|v| v.index() >= n) {
+        return Err(corrupt(0, "edge endpoint out of vertex range"));
+    }
+    Ok(NetflowGraph::from_parts(ips, src, dst, props))
 }
 
-fn u64_col(payload: &[u8], offset: usize, n: usize) -> Vec<u64> {
-    payload[offset..offset + n * 8]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
-fn decode_protocols(raw: &[u8], n: usize, chunk_at: u64) -> Result<Vec<Protocol>, StoreError> {
-    raw[..n]
-        .iter()
-        .map(|&b| {
-            Protocol::from_number(b).ok_or_else(|| corrupt(chunk_at, format!("bad protocol {b}")))
-        })
-        .collect()
-}
-
-fn decode_states(raw: &[u8], n: usize, chunk_at: u64) -> Result<Vec<TcpConnState>, StoreError> {
-    raw[..n]
-        .iter()
-        .map(|&b| {
-            TcpConnState::from_code(b as u64)
-                .ok_or_else(|| corrupt(chunk_at, format!("bad state {b}")))
-        })
-        .collect()
+/// Reconstructs the labeled flow list held in `readers` (see
+/// [`logical_chunks`]).
+pub(crate) fn load_labeled_flows_from<R: Read + Seek>(
+    readers: &mut [StoreReader<R>],
+) -> Result<Vec<LabeledFlow>, StoreError> {
+    let mut flows = Vec::new();
+    for (s, idx) in logical_chunks(readers, FileKind::Flows)? {
+        flows.extend(readers[s].read_labeled_flow_batch(idx)?);
+    }
+    Ok(flows)
 }

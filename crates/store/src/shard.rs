@@ -1,43 +1,38 @@
-//! Sharded stores: one logical graph store split across N chunk files
-//! written by parallel workers and read back in a deterministic round-robin
-//! interleave.
+//! Sharded stores: one logical store split across N chunk files written by
+//! parallel workers and read back in a deterministic round-robin interleave.
 //!
 //! A shard set is a tiny manifest file (magic `CSBSHRD1`) naming N ordinary
 //! store files that live beside it. Chunk placement is by rule, not by
-//! table: every vertex chunk goes to shard 0, and the i-th **edge** chunk of
-//! the stream goes to shard `i % N`. Each shard preserves its subsequence in
-//! file order, so the logical chunk order is recoverable by dealing the
-//! shards back out round-robin — which is exactly what [`ShardedScan`] and
-//! [`load_graph_sharded`] do. The logical record stream is therefore
-//! **identical** to what a single-file sink would produce from the same
-//! pushes, and every OOC kernel scores bit-identically over either layout.
+//! table ([`place`]): every vertex chunk goes to shard 0, and the i-th
+//! **body** chunk (edge or flow) of the stream goes to shard `i % N`. Each
+//! shard preserves its subsequence in file order, so the logical chunk order
+//! is recoverable by dealing the shards back out round-robin — which is what
+//! [`ShardedScan`] and the loaders do. The logical record stream is
+//! therefore **identical** to what a single file would hold from the same
+//! pushes, every OOC kernel scores bit-identically over either layout, and
+//! readers treat a plain file as a one-shard set.
 //!
-//! [`ShardedGraphSink`] runs one writer thread per shard: the producer
-//! re-chunks the record stream and hands finished chunks to the shard's
-//! worker over a bounded channel, so column encoding, CRC32, and file I/O of
-//! different shards proceed in parallel with generation.
-//! [`CheckpointedShardedGraphSink`] is the fault-tolerant variant: a
-//! synchronous round-robin writer (barriers need a deterministic durable
-//! point across every shard) that fsyncs all shards and atomically replaces
-//! a multi-shard manifest every N chunks; a killed run resumes to
-//! **byte-identical** shard files.
+//! [`ShardedLayout`] is the threaded layout behind
+//! [`StoreSink`](crate::sink::StoreSink): one writer thread per shard takes
+//! finished raw chunks over a bounded channel, so column encoding, CRC32 and
+//! file I/O of different shards overlap with generation and each other. The
+//! fault-tolerant counterpart is
+//! [`CheckpointedLayout`](crate::checkpoint::CheckpointedLayout).
 
 use crate::codec::Compression;
-use crate::crc32::crc32;
-use crate::format::{corrupt, ChunkEntry, ChunkKind, FileKind, StoreError, FILE_MAGIC};
+use crate::format::{
+    save_atomically, seal_manifest, ChunkKind, FileKind, ManifestReader, StoreError,
+};
 use crate::ooc::StoreScan;
-use crate::read::StoreReader;
-use crate::sink::{encode_edge_chunk, version_for, write_sink_chunk, EdgeSink, CHUNK_RECORDS};
+use crate::read::{check_round_robin, StoreReader};
+use crate::sink::{push_graph, Layout, StoreSink};
 use crate::write::StoreWriter;
-use csb_graph::graph::VertexId;
 use csb_graph::ooc::EdgeScan;
-use csb_graph::{EdgeProperties, NetflowGraph};
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use csb_graph::NetflowGraph;
+use std::fs::File;
+use std::io::{BufReader, Read};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Shard-set manifest magic, first 8 bytes.
@@ -45,10 +40,6 @@ pub const SHARD_SET_MAGIC: [u8; 8] = *b"CSBSHRD1";
 
 /// Shard-set manifest format version.
 pub const SHARD_SET_VERSION: u32 = 1;
-
-/// Sharded checkpoint manifest magic (the single-file checkpoint uses
-/// `CSBCKPT1`).
-pub const SHARDED_CKPT_MAGIC: [u8; 8] = *b"CSBCKPT2";
 
 /// Chunks a worker channel may buffer before the producer blocks.
 const WORKER_QUEUE_CHUNKS: usize = 4;
@@ -78,6 +69,17 @@ pub fn is_shard_set(path: impl AsRef<Path>) -> Result<bool, StoreError> {
     Ok(magic == SHARD_SET_MAGIC)
 }
 
+/// The shard a chunk goes to: vertex chunks to shard 0, the i-th body chunk
+/// to shard `i % shards` (`body_chunks` counts them).
+pub(crate) fn place(kind: ChunkKind, body_chunks: &mut u64, shards: usize) -> usize {
+    if kind == ChunkKind::Vertex {
+        return 0;
+    }
+    let shard = (*body_chunks % shards as u64) as usize;
+    *body_chunks += 1;
+    shard
+}
+
 /// The manifest of a shard set: what kind of store it is and the shard file
 /// names, in shard order, relative to the manifest's directory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,6 +91,11 @@ pub struct ShardSetManifest {
 }
 
 impl ShardSetManifest {
+    /// The manifest of a fresh `shards`-way set of `kind` at `path`.
+    pub(crate) fn named(path: &Path, kind: FileKind, shards: usize) -> Self {
+        ShardSetManifest { kind, shards: shard_file_names(path, shards.max(1)) }
+    }
+
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32 + self.shards.len() * 24);
         out.extend_from_slice(&SHARD_SET_MAGIC);
@@ -101,59 +108,33 @@ impl ShardSetManifest {
             out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
             out.extend_from_slice(bytes);
         }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        seal_manifest(out)
     }
 
     fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        let bad = |msg: &str| corrupt(0, format!("shard manifest: {msg}"));
-        if bytes.len() < 24 || bytes[..8] != SHARD_SET_MAGIC {
-            return Err(bad("bad magic"));
-        }
-        let body_len = bytes.len() - 4;
-        let stored_crc = u32::from_le_bytes(bytes[body_len..].try_into().expect("4 bytes"));
-        if crc32(&bytes[..body_len]) != stored_crc {
-            return Err(bad("CRC mismatch"));
-        }
-        if u32::from_le_bytes(bytes[8..12].try_into().unwrap()) != SHARD_SET_VERSION {
-            return Err(bad("unsupported version"));
-        }
-        let kind = FileKind::from_code(bytes[12]).ok_or_else(|| bad("bad file kind"))?;
-        let count = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+        let mut r =
+            ManifestReader::open(bytes, "shard manifest", &SHARD_SET_MAGIC, SHARD_SET_VERSION)?;
+        let kind = FileKind::from_code(r.take(4)?[0]).ok_or_else(|| r.bad("bad file kind"))?;
+        let count = r.u32()? as u64;
+        // Every name costs at least its two length bytes.
+        let count = r.count(count, 2)?;
         if count == 0 {
-            return Err(bad("zero shards"));
+            return Err(r.bad("zero shards"));
         }
         let mut shards = Vec::with_capacity(count);
-        let mut o = 20usize;
         for _ in 0..count {
-            let len = bytes
-                .get(o..o + 2)
-                .map(|b| u16::from_le_bytes([b[0], b[1]]) as usize)
-                .ok_or_else(|| bad("truncated"))?;
-            o += 2;
-            let name = bytes.get(o..o + len).ok_or_else(|| bad("truncated"))?;
-            o += len;
-            shards.push(
-                String::from_utf8(name.to_vec()).map_err(|_| bad("shard name is not UTF-8"))?,
-            );
+            let len = u16::from_le_bytes(r.take(2)?.try_into().expect("2 bytes")) as usize;
+            let name = r.take(len)?.to_vec();
+            shards.push(String::from_utf8(name).map_err(|_| r.bad("shard name is not UTF-8"))?);
         }
-        if o != body_len {
-            return Err(bad("trailing bytes"));
-        }
+        r.finish()?;
         Ok(ShardSetManifest { kind, shards })
     }
 
     /// Writes the manifest at `path` (atomically: temp file + rename).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
         let path = path.as_ref();
-        let tmp = path.with_extension("shrd.tmp");
-        let mut f = File::create(&tmp)?;
-        f.write_all(&self.to_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        save_atomically(&path.with_extension("shrd.tmp"), path, &self.to_bytes())
     }
 
     /// Loads and validates the manifest at `path`.
@@ -169,24 +150,35 @@ impl ShardSetManifest {
     }
 }
 
-enum WorkerMsg {
-    Chunk { kind: ChunkKind, records: u64, payload: Vec<u8> },
+/// Opens the store at `path` as its readers in shard order: the shard files
+/// behind a shard-set manifest, or a plain store file as a one-shard set.
+pub(crate) fn open_readers(
+    path: impl AsRef<Path>,
+) -> Result<Vec<StoreReader<BufReader<File>>>, StoreError> {
+    let path = path.as_ref();
+    if !is_shard_set(path)? {
+        return Ok(vec![StoreReader::open(path)?]);
+    }
+    ShardSetManifest::load(path)?.shard_paths(path).iter().map(StoreReader::open).collect()
 }
+
+/// One finished chunk on its way to a shard's writer thread.
+type WorkerChunk = (ChunkKind, u64, Vec<u8>);
 
 fn spawn_shard_worker(
     path: PathBuf,
-    compression: Compression,
-    rx: Receiver<WorkerMsg>,
+    kind: FileKind,
+    version: u32,
+    rx: Receiver<WorkerChunk>,
 ) -> JoinHandle<Result<(), StoreError>> {
     // Spawned threads do not inherit the caller's recorder scope; capture it
     // here so a scoped job's shard-writer telemetry stays on its recorder.
     let recorder = csb_obs::recorder::current();
     std::thread::spawn(move || {
         let _obs_scope = recorder.install();
-        let mut writer =
-            StoreWriter::create_with(&path, FileKind::Graph, version_for(compression))?;
-        while let Ok(WorkerMsg::Chunk { kind, records, payload }) = rx.recv() {
-            write_sink_chunk(&mut writer, compression, kind, records, &payload)?;
+        let mut writer = StoreWriter::create_with(&path, kind, version)?;
+        while let Ok((kind, records, payload)) = rx.recv() {
+            writer.write_chunk(kind, records, &payload)?;
             csb_obs::counter_add("store.shard_chunks", 1);
         }
         writer.finish()?;
@@ -194,63 +186,40 @@ fn spawn_shard_worker(
     })
 }
 
-/// An [`EdgeSink`] writing a shard set with one writer thread per shard:
-/// encoding, CRC, and I/O of different shards overlap with generation and
-/// with each other. Produces bytes that depend only on the record stream,
-/// the shard count, and the compression mode — a re-run (or a checkpointed
-/// run via [`CheckpointedShardedGraphSink`]) is byte-identical per shard.
+/// The threaded [`Layout`]: a shard set with one writer thread per shard, so
+/// encoding, CRC and I/O of different shards overlap with generation and
+/// with each other. Shard bytes depend only on the record stream, the chunk
+/// size, the shard count and the compression mode — a re-run, or a
+/// checkpointed run of the same stream, is byte-identical per shard.
 #[derive(Debug)]
-pub struct ShardedGraphSink {
+pub struct ShardedLayout {
     manifest_path: PathBuf,
-    shard_names: Vec<String>,
-    txs: Vec<Option<SyncSender<WorkerMsg>>>,
+    manifest: ShardSetManifest,
+    txs: Vec<Option<SyncSender<WorkerChunk>>>,
     handles: Vec<Option<JoinHandle<Result<(), StoreError>>>>,
-    chunk_records: usize,
-    vertices: Vec<u32>,
-    src: Vec<u32>,
-    dst: Vec<u32>,
-    props: Vec<EdgeProperties>,
-    edge_chunks_sent: u64,
+    body_chunks_sent: u64,
 }
 
-impl ShardedGraphSink {
-    /// Creates a shard set: manifest at `path`, shard files
+impl ShardedLayout {
+    /// Creates a shard set of `kind`: manifest at `path`, shard files
     /// `<path>.s0 … <path>.s{n-1}` beside it.
     pub fn create(
         path: impl AsRef<Path>,
+        kind: FileKind,
         shards: usize,
         compression: Compression,
     ) -> Result<Self, StoreError> {
-        let shards = shards.max(1);
         let path = path.as_ref().to_path_buf();
-        let shard_names = shard_file_names(&path, shards);
-        let dir = path.parent().map(Path::to_path_buf).unwrap_or_default();
-        let mut txs = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for name in &shard_names {
+        let manifest = ShardSetManifest::named(&path, kind, shards);
+        let mut txs = Vec::with_capacity(manifest.shards.len());
+        let mut handles = Vec::with_capacity(manifest.shards.len());
+        for shard_path in manifest.shard_paths(&path) {
             let (tx, rx) = sync_channel(WORKER_QUEUE_CHUNKS);
             txs.push(Some(tx));
-            handles.push(Some(spawn_shard_worker(dir.join(name), compression, rx)));
+            handles.push(Some(spawn_shard_worker(shard_path, kind, compression.version(), rx)));
         }
-        csb_obs::gauge_set("store.shards", shards as i64);
-        Ok(ShardedGraphSink {
-            manifest_path: path,
-            shard_names,
-            txs,
-            handles,
-            chunk_records: CHUNK_RECORDS,
-            vertices: Vec::new(),
-            src: Vec::new(),
-            dst: Vec::new(),
-            props: Vec::new(),
-            edge_chunks_sent: 0,
-        })
-    }
-
-    /// Overrides the chunk size (tests use small chunks).
-    pub fn with_chunk_records(mut self, records: usize) -> Self {
-        self.chunk_records = records.max(1);
-        self
+        csb_obs::gauge_set("store.shards", manifest.shards.len() as i64);
+        Ok(ShardedLayout { manifest_path: path, manifest, txs, handles, body_chunks_sent: 0 })
     }
 
     /// Joins worker `s` to surface its real error.
@@ -262,75 +231,31 @@ impl ShardedGraphSink {
             _ => StoreError::Transient(format!("shard {s} writer terminated early")),
         }
     }
+}
 
-    fn send_chunk(
+impl Layout for ShardedLayout {
+    type Sealed = ();
+
+    fn write_chunk(
         &mut self,
-        shard: usize,
         kind: ChunkKind,
         records: u64,
-        payload: Vec<u8>,
+        raw_payload: Vec<u8>,
     ) -> Result<(), StoreError> {
-        let msg = WorkerMsg::Chunk { kind, records, payload };
-        let tx = match self.txs[shard].clone() {
-            Some(tx) => tx,
-            None => {
-                return Err(StoreError::Transient(format!("shard {shard} writer already failed")))
-            }
+        let shard = place(kind, &mut self.body_chunks_sent, self.txs.len());
+        let Some(tx) = &self.txs[shard] else {
+            return Err(StoreError::Transient(format!("shard {shard} writer already failed")));
         };
-        if tx.send(msg).is_err() {
+        if tx.send((kind, records, raw_payload)).is_err() {
             return Err(self.worker_error(shard));
         }
         Ok(())
     }
 
-    fn flush_full_vertex_chunks(&mut self) -> Result<(), StoreError> {
-        while self.vertices.len() >= self.chunk_records {
-            let rest = self.vertices.split_off(self.chunk_records);
-            let chunk = std::mem::replace(&mut self.vertices, rest);
-            let payload: Vec<u8> = chunk.iter().flat_map(|ip| ip.to_le_bytes()).collect();
-            self.send_chunk(0, ChunkKind::Vertex, chunk.len() as u64, payload)?;
-        }
-        Ok(())
-    }
-
-    fn flush_full_edge_chunks(&mut self) -> Result<(), StoreError> {
-        while self.src.len() >= self.chunk_records {
-            let rest_src = self.src.split_off(self.chunk_records);
-            let rest_dst = self.dst.split_off(self.chunk_records);
-            let rest_props = self.props.split_off(self.chunk_records);
-            let src = std::mem::replace(&mut self.src, rest_src);
-            let dst = std::mem::replace(&mut self.dst, rest_dst);
-            let props = std::mem::replace(&mut self.props, rest_props);
-            let payload = encode_edge_chunk(&src, &dst, &props);
-            let shard = (self.edge_chunks_sent % self.shard_names.len() as u64) as usize;
-            self.edge_chunks_sent += 1;
-            self.send_chunk(shard, ChunkKind::Edge, src.len() as u64, payload)?;
-        }
-        Ok(())
-    }
-
-    /// Flushes the partial buffers, seals every shard, and writes the
-    /// shard-set manifest.
-    pub fn finish(mut self) -> Result<(), StoreError> {
-        if !self.vertices.is_empty() {
-            let payload: Vec<u8> = self.vertices.iter().flat_map(|ip| ip.to_le_bytes()).collect();
-            let n = self.vertices.len() as u64;
-            self.vertices.clear();
-            self.send_chunk(0, ChunkKind::Vertex, n, payload)?;
-        }
-        if !self.src.is_empty() {
-            let payload = encode_edge_chunk(&self.src, &self.dst, &self.props);
-            let n = self.src.len() as u64;
-            let shard = (self.edge_chunks_sent % self.shard_names.len() as u64) as usize;
-            self.edge_chunks_sent += 1;
-            self.src.clear();
-            self.dst.clear();
-            self.props.clear();
-            self.send_chunk(shard, ChunkKind::Edge, n, payload)?;
-        }
-        for tx in &mut self.txs {
-            *tx = None; // close channels: workers drain and seal their files
-        }
+    /// Closes the channels so the workers drain and seal their files, joins
+    /// them, and writes the shard-set manifest.
+    fn seal(mut self) -> Result<(), StoreError> {
+        self.txs.clear();
         let mut first_err = None;
         for (s, h) in self.handles.iter_mut().enumerate() {
             let joined = match h.take().map(JoinHandle::join) {
@@ -345,55 +270,14 @@ impl ShardedGraphSink {
         if let Some(e) = first_err {
             return Err(e);
         }
-        let manifest = ShardSetManifest { kind: FileKind::Graph, shards: self.shard_names.clone() };
-        manifest.save(&self.manifest_path)
+        self.manifest.save(&self.manifest_path)
     }
 }
 
-impl EdgeSink for ShardedGraphSink {
-    fn push_vertices(&mut self, ips: &[u32]) -> Result<(), StoreError> {
-        self.vertices.extend_from_slice(ips);
-        self.flush_full_vertex_chunks()
-    }
-
-    fn push_edges(
-        &mut self,
-        src: &[u32],
-        dst: &[u32],
-        props: &[EdgeProperties],
-    ) -> Result<(), StoreError> {
-        assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
-        assert_eq!(src.len(), props.len(), "props length mismatch");
-        self.src.extend_from_slice(src);
-        self.dst.extend_from_slice(dst);
-        self.props.extend_from_slice(props);
-        self.flush_full_edge_chunks()
-    }
-}
-
-/// Validates that the per-shard edge-chunk counts are consistent with
-/// round-robin placement of `total` chunks over `shards` shards.
-fn check_round_robin(counts: &[usize]) -> Result<usize, StoreError> {
-    let total: usize = counts.iter().sum();
-    let s = counts.len();
-    for (i, &n) in counts.iter().enumerate() {
-        let want = (total + s - 1 - i) / s;
-        if n != want {
-            return Err(corrupt(
-                0,
-                format!(
-                    "shard {i} holds {n} edge chunks; round-robin placement of {total} over \
-                     {s} shards requires {want}"
-                ),
-            ));
-        }
-    }
-    Ok(total)
-}
-
-/// [`EdgeScan`] over a shard set: deals the shards' edge chunks back out
-/// round-robin, replaying the exact logical chunk order the sink consumed.
-/// Each shard keeps its own encoded-block cache (the budget of
+/// [`EdgeScan`] over a graph store of either layout: deals the shards' edge
+/// chunks back out round-robin, replaying the exact logical chunk order the
+/// sink consumed (a plain store file is a one-shard set). Each shard keeps
+/// its own decoded-endpoint cache (the budget of
 /// [`ShardedScan::with_cache_budget`] is split evenly).
 #[derive(Debug)]
 pub struct ShardedScan {
@@ -404,16 +288,11 @@ pub struct ShardedScan {
 }
 
 impl ShardedScan {
-    /// Opens the shard set whose manifest is at `path`.
+    /// Opens the graph store at `path`: a shard-set manifest or a plain
+    /// store file, told apart by magic.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let manifest = ShardSetManifest::load(&path)?;
-        if manifest.kind != FileKind::Graph {
-            return Err(corrupt(12, "not a graph shard set"));
-        }
-        let mut scans = Vec::with_capacity(manifest.shards.len());
-        for p in manifest.shard_paths(&path) {
-            scans.push(StoreScan::open(p)?);
-        }
+        let mut scans =
+            open_readers(path)?.into_iter().map(StoreScan::new).collect::<Result<Vec<_>, _>>()?;
         let mut vertex_count = 0usize;
         let mut edge_count = 0u64;
         for scan in &mut scans {
@@ -436,7 +315,7 @@ impl ShardedScan {
         self
     }
 
-    /// Number of shards.
+    /// Number of shards (1 for a plain store file).
     pub fn shard_count(&self) -> usize {
         self.scans.len()
     }
@@ -491,82 +370,6 @@ impl EdgeScan for ShardedScan {
     }
 }
 
-/// An [`EdgeScan`] over either store layout, chosen by the file's magic.
-#[derive(Debug)]
-pub enum ScanSource {
-    /// One sealed store file.
-    Single(StoreScan<BufReader<File>>),
-    /// A shard set behind its manifest.
-    Sharded(ShardedScan),
-}
-
-/// Opens `path` as whichever scan its magic says it is: a plain store file
-/// or a shard-set manifest.
-pub fn open_scan(path: impl AsRef<Path>) -> Result<ScanSource, StoreError> {
-    if is_shard_set(&path)? {
-        Ok(ScanSource::Sharded(ShardedScan::open(path)?))
-    } else {
-        Ok(ScanSource::Single(StoreScan::open(path)?))
-    }
-}
-
-impl ScanSource {
-    /// Caps the encoded-block cache at `bytes` (see
-    /// [`StoreScan::with_cache_budget`]).
-    pub fn with_cache_budget(self, bytes: u64) -> Self {
-        match self {
-            ScanSource::Single(s) => ScanSource::Single(s.with_cache_budget(bytes)),
-            ScanSource::Sharded(s) => ScanSource::Sharded(s.with_cache_budget(bytes)),
-        }
-    }
-}
-
-impl EdgeScan for ScanSource {
-    type Error = StoreError;
-
-    fn vertex_count(&mut self) -> Result<usize, StoreError> {
-        match self {
-            ScanSource::Single(s) => s.vertex_count(),
-            ScanSource::Sharded(s) => s.vertex_count(),
-        }
-    }
-
-    fn edge_count(&mut self) -> Result<u64, StoreError> {
-        match self {
-            ScanSource::Single(s) => s.edge_count(),
-            ScanSource::Sharded(s) => s.edge_count(),
-        }
-    }
-
-    fn scan_edges(&mut self, f: &mut dyn FnMut(&[u32], &[u32])) -> Result<(), StoreError> {
-        match self {
-            ScanSource::Single(s) => s.scan_edges(f),
-            ScanSource::Sharded(s) => s.scan_edges(f),
-        }
-    }
-
-    fn scan_sources(&mut self, f: &mut dyn FnMut(&[u32])) -> Result<(), StoreError> {
-        match self {
-            ScanSource::Single(s) => s.scan_sources(f),
-            ScanSource::Sharded(s) => s.scan_sources(f),
-        }
-    }
-
-    fn scan_targets(&mut self, f: &mut dyn FnMut(&[u32])) -> Result<(), StoreError> {
-        match self {
-            ScanSource::Single(s) => s.scan_targets(f),
-            ScanSource::Sharded(s) => s.scan_targets(f),
-        }
-    }
-
-    fn scratch_bytes(&self) -> u64 {
-        match self {
-            ScanSource::Single(s) => s.scratch_bytes(),
-            ScanSource::Sharded(s) => s.scratch_bytes(),
-        }
-    }
-}
-
 /// Writes `g` as a sharded graph store: a shard-set manifest at `path` with
 /// `shards` shard files beside it, each written by its own worker thread in
 /// the requested `compression`. The sharded counterpart of
@@ -577,62 +380,22 @@ pub fn save_graph_sharded(
     shards: usize,
     compression: Compression,
 ) -> Result<(), StoreError> {
-    let mut sink = ShardedGraphSink::create(path, shards, compression)?;
-    crate::sink::push_graph(&mut sink, g)?;
+    let mut sink =
+        StoreSink::new(ShardedLayout::create(path, FileKind::Graph, shards, compression)?);
+    push_graph(&mut sink, g)?;
     sink.finish()
 }
 
-/// Reconstructs the property graph behind a shard-set manifest, replaying
-/// the logical chunk order (vertex chunks in shard-0 order, edge chunks
-/// dealt round-robin).
+/// [`crate::sink::load_graph`] under the name the repo benchmark calls it
+/// by; a plain store file loads too, as a one-shard set.
 pub fn load_graph_sharded(path: impl AsRef<Path>) -> Result<NetflowGraph, StoreError> {
-    let manifest = ShardSetManifest::load(&path)?;
-    if manifest.kind != FileKind::Graph {
-        return Err(corrupt(12, "not a graph shard set"));
-    }
-    let mut readers = Vec::with_capacity(manifest.shards.len());
-    for p in manifest.shard_paths(&path) {
-        readers.push(StoreReader::open(p)?);
-    }
-    let mut ips: Vec<u32> = Vec::new();
-    let mut edge_lists: Vec<Vec<usize>> = Vec::with_capacity(readers.len());
-    for r in &mut readers {
-        let mut edges = Vec::new();
-        for idx in 0..r.chunks().len() {
-            match r.chunks()[idx].kind {
-                ChunkKind::Vertex => ips.extend(r.read_vertex_batch(idx)?),
-                ChunkKind::Edge => edges.push(idx),
-                ChunkKind::Flow | ChunkKind::LabeledFlow => {
-                    return Err(corrupt(r.chunks()[idx].offset, "flow chunk in a graph store"))
-                }
-            }
-        }
-        edge_lists.push(edges);
-    }
-    let counts: Vec<usize> = edge_lists.iter().map(Vec::len).collect();
-    let total = check_round_robin(&counts)?;
-    let mut src: Vec<VertexId> = Vec::new();
-    let mut dst: Vec<VertexId> = Vec::new();
-    let mut props: Vec<EdgeProperties> = Vec::new();
-    let shards = readers.len();
-    for i in 0..total {
-        let (s, p) = (i % shards, i / shards);
-        let batch = readers[s].read_edge_batch(edge_lists[s][p])?;
-        src.extend(batch.src.into_iter().map(VertexId));
-        dst.extend(batch.dst.into_iter().map(VertexId));
-        props.extend(batch.props);
-    }
-    let n = ips.len();
-    if src.iter().chain(dst.iter()).any(|v| v.index() >= n) {
-        return Err(corrupt(0, "edge endpoint out of vertex range"));
-    }
-    Ok(NetflowGraph::from_parts(ips, src, dst, props))
+    crate::sink::load_graph(path)
 }
 
 /// Writes labeled flows as a sharded flow store: a shard-set manifest at
-/// `path` with `shards` flow-store shard files beside it, chunks dealt
-/// round-robin. Shard bytes depend only on the flow stream, the shard
-/// count, the chunk size, and the compression mode.
+/// `path` with `shards` flow-store shard files beside it, chunks of
+/// `chunk_records` dealt round-robin. Shard bytes depend only on the flow
+/// stream, the shard count, the chunk size, and the compression mode.
 pub fn save_labeled_flows_sharded(
     path: impl AsRef<Path>,
     flows: &[csb_net::LabeledFlow],
@@ -642,602 +405,20 @@ pub fn save_labeled_flows_sharded(
 ) -> Result<(), StoreError> {
     assert!(shards > 0, "need at least one shard");
     let _span = csb_obs::span_cat("store.save_flows_sharded", "store");
-    let path = path.as_ref();
-    let names = shard_file_names(path, shards);
-    let manifest = ShardSetManifest { kind: FileKind::Flows, shards: names };
-    let dir = path.parent().map(Path::to_path_buf).unwrap_or_default();
-    let mut sinks = Vec::with_capacity(shards);
-    for name in &manifest.shards {
-        sinks.push(
-            crate::sink::LabeledFlowStoreSink::create_with(dir.join(name), compression)?
-                .with_chunk_records(chunk_records.max(1)),
-        );
-    }
-    // Deal whole chunks round-robin; each shard sink's chunk size equals the
-    // deal size, so shard chunk boundaries match the logical ones.
-    for (i, chunk) in flows.chunks(chunk_records.max(1)).enumerate() {
-        use crate::sink::LabeledFlowSink as _;
-        sinks[i % shards].push_labeled(chunk)?;
-    }
-    for sink in sinks {
-        sink.finish()?;
-    }
-    manifest.save(path)
-}
-
-/// Reconstructs the labeled flow list behind a flow shard-set manifest,
-/// replaying the round-robin chunk order.
-pub fn load_labeled_flows_sharded(
-    path: impl AsRef<Path>,
-) -> Result<Vec<csb_net::LabeledFlow>, StoreError> {
-    let manifest = ShardSetManifest::load(&path)?;
-    if manifest.kind != FileKind::Flows {
-        return Err(corrupt(12, "not a flow shard set"));
-    }
-    let mut readers = Vec::with_capacity(manifest.shards.len());
-    for p in manifest.shard_paths(&path) {
-        readers.push(StoreReader::open(p)?);
-    }
-    let mut chunk_lists: Vec<Vec<usize>> = Vec::with_capacity(readers.len());
-    for r in &mut readers {
-        let mut chunks = Vec::new();
-        for idx in 0..r.chunks().len() {
-            match r.chunks()[idx].kind {
-                ChunkKind::Flow | ChunkKind::LabeledFlow => chunks.push(idx),
-                k => {
-                    return Err(corrupt(
-                        r.chunks()[idx].offset,
-                        format!("{k:?} chunk in a flow shard set"),
-                    ))
-                }
-            }
-        }
-        chunk_lists.push(chunks);
-    }
-    let counts: Vec<usize> = chunk_lists.iter().map(Vec::len).collect();
-    let total = check_round_robin(&counts)?;
-    let shards = readers.len();
-    let mut flows = Vec::new();
-    for i in 0..total {
-        let (s, p) = (i % shards, i / shards);
-        flows.extend(readers[s].read_labeled_flow_batch(chunk_lists[s][p])?);
-    }
-    Ok(flows)
-}
-
-/// Per-shard durable state inside a [`ShardedCheckpointManifest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardCheckpoint {
-    /// Shard-file length as of the barrier.
-    pub bytes_durable: u64,
-    /// Footer index of the shard's durable chunks.
-    pub chunks: Vec<ChunkEntry>,
-}
-
-/// The durable state of a checkpointed *sharded* run: the single-file
-/// manifest's fields plus one durable prefix per shard, written atomically
-/// at each barrier so all shards resume from one consistent cut.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedCheckpointManifest {
-    /// Who was generating, with what config and seed.
-    pub identity: crate::checkpoint::CheckpointIdentity,
-    /// Records per store chunk.
-    pub chunk_records: u64,
-    /// Store format version of the shard files (1 or 2).
-    pub store_version: u32,
-    /// Vertices contained in durable vertex chunks.
-    pub vertices_durable: u64,
-    /// Edges contained in durable edge chunks.
-    pub edges_durable: u64,
-    /// Durable prefix of each shard.
-    pub shards: Vec<ShardCheckpoint>,
-}
-
-impl ShardedCheckpointManifest {
-    /// Path of the manifest inside `dir` (same file name as the single-file
-    /// manifest; the magic disambiguates).
-    pub fn path_in(dir: impl AsRef<Path>) -> PathBuf {
-        dir.as_ref().join(crate::checkpoint::MANIFEST_FILE)
-    }
-
-    fn to_bytes(&self) -> Vec<u8> {
-        let gen = self.identity.generator.as_bytes();
-        assert!(gen.len() <= u8::MAX as usize, "generator name too long");
-        let mut out = Vec::with_capacity(128 + gen.len());
-        out.extend_from_slice(&SHARDED_CKPT_MAGIC);
-        out.extend_from_slice(&SHARD_SET_VERSION.to_le_bytes());
-        out.push(gen.len() as u8);
-        out.extend_from_slice(gen);
-        out.extend_from_slice(&self.identity.config_hash.to_le_bytes());
-        out.extend_from_slice(&self.identity.master_seed.to_le_bytes());
-        out.extend_from_slice(&self.chunk_records.to_le_bytes());
-        out.extend_from_slice(&self.store_version.to_le_bytes());
-        out.extend_from_slice(&self.vertices_durable.to_le_bytes());
-        out.extend_from_slice(&self.edges_durable.to_le_bytes());
-        out.extend_from_slice(&(self.shards.len() as u32).to_le_bytes());
-        for s in &self.shards {
-            out.extend_from_slice(&s.bytes_durable.to_le_bytes());
-            out.extend_from_slice(&(s.chunks.len() as u64).to_le_bytes());
-            for c in &s.chunks {
-                c.encode_into(&mut out, self.store_version);
-            }
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
-    }
-
-    fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        let bad = |msg: &str| corrupt(0, format!("sharded checkpoint manifest: {msg}"));
-        if bytes.len() < 16 || bytes[..8] != SHARDED_CKPT_MAGIC {
-            return Err(bad("bad magic"));
-        }
-        let body_len = bytes.len() - 4;
-        let stored_crc = u32::from_le_bytes(bytes[body_len..].try_into().expect("4 bytes"));
-        if crc32(&bytes[..body_len]) != stored_crc {
-            return Err(bad("CRC mismatch"));
-        }
-        if u32::from_le_bytes(bytes[8..12].try_into().unwrap()) != SHARD_SET_VERSION {
-            return Err(bad("unsupported version"));
-        }
-        let gen_len = bytes[12] as usize;
-        let mut o = 13usize;
-        let take = |o: &mut usize, n: usize| -> Result<&[u8], StoreError> {
-            let s = bytes.get(*o..*o + n).ok_or_else(|| bad("truncated"))?;
-            *o += n;
-            Ok(s)
-        };
-        let generator = String::from_utf8(take(&mut o, gen_len)?.to_vec())
-            .map_err(|_| bad("generator name is not UTF-8"))?;
-        let u64_of = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-        let config_hash = u64_of(take(&mut o, 8)?);
-        let master_seed = u64_of(take(&mut o, 8)?);
-        let chunk_records = u64_of(take(&mut o, 8)?);
-        let store_version = u32::from_le_bytes(take(&mut o, 4)?.try_into().expect("4 bytes"));
-        let vertices_durable = u64_of(take(&mut o, 8)?);
-        let edges_durable = u64_of(take(&mut o, 8)?);
-        let shard_count =
-            u32::from_le_bytes(take(&mut o, 4)?.try_into().expect("4 bytes")) as usize;
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let bytes_durable = u64_of(take(&mut o, 8)?);
-            let chunk_count = u64_of(take(&mut o, 8)?) as usize;
-            let mut chunks = Vec::with_capacity(chunk_count);
-            for _ in 0..chunk_count {
-                chunks.push(ChunkEntry::decode_from(&bytes[..body_len], &mut o, store_version, 0)?);
-            }
-            shards.push(ShardCheckpoint { bytes_durable, chunks });
-        }
-        if o != body_len {
-            return Err(bad("trailing bytes"));
-        }
-        Ok(ShardedCheckpointManifest {
-            identity: crate::checkpoint::CheckpointIdentity { generator, config_hash, master_seed },
-            chunk_records,
-            store_version,
-            vertices_durable,
-            edges_durable,
-            shards,
-        })
-    }
-
-    /// Writes the manifest atomically: temp file, fsync, rename.
-    pub fn save(&self, dir: impl AsRef<Path>) -> Result<(), StoreError> {
-        let dir = dir.as_ref();
-        let tmp = dir.join(format!("{}.tmp", crate::checkpoint::MANIFEST_FILE));
-        let mut f = File::create(&tmp)?;
-        f.write_all(&self.to_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, Self::path_in(dir))?;
-        Ok(())
-    }
-
-    /// Loads and validates the manifest in `dir`.
-    pub fn load(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let path = Self::path_in(&dir);
-        if !path.is_file() {
-            return Err(StoreError::Mismatch(format!(
-                "no checkpoint manifest at {} — nothing to resume",
-                path.display()
-            )));
-        }
-        Self::from_bytes(&std::fs::read(path)?)
-    }
-}
-
-/// The fault-tolerant sharded sink: round-robin chunk placement identical to
-/// [`ShardedGraphSink`], written synchronously so every barrier is a
-/// consistent cut — flush + fsync all shards, then atomically replace one
-/// [`ShardedCheckpointManifest`] covering every shard's durable prefix. A
-/// killed run resumes to byte-identical shard files.
-#[derive(Debug)]
-pub struct CheckpointedShardedGraphSink {
-    writers: Vec<StoreWriter<BufWriter<File>>>,
-    manifest_path: PathBuf,
-    shard_names: Vec<String>,
-    dir: PathBuf,
-    identity: crate::checkpoint::CheckpointIdentity,
-    compression: Compression,
-    chunk_records: usize,
-    checkpoint_every: u64,
-    vertices: Vec<u32>,
-    src: Vec<u32>,
-    dst: Vec<u32>,
-    props: Vec<EdgeProperties>,
-    vertices_chunked: u64,
-    edges_chunked: u64,
-    edge_chunks_written: u64,
-    chunks_since_barrier: u64,
-    chunks_written: u64,
-    skip_vertices: u64,
-    skip_edges: u64,
-    kill_after_chunks: Option<u64>,
-    kill_aborts_process: bool,
-    stop: Option<Arc<AtomicBool>>,
-}
-
-impl CheckpointedShardedGraphSink {
-    /// Starts a fresh checkpointed sharded run: manifest at `path`, shard
-    /// files beside it, barrier manifests in `dir`.
-    pub fn create(
-        path: impl AsRef<Path>,
-        dir: impl AsRef<Path>,
-        identity: crate::checkpoint::CheckpointIdentity,
-        shards: usize,
-        compression: Compression,
-    ) -> Result<Self, StoreError> {
-        std::fs::create_dir_all(&dir)?;
-        let shards = shards.max(1);
-        let path = path.as_ref().to_path_buf();
-        let shard_names = shard_file_names(&path, shards);
-        let parent = path.parent().map(Path::to_path_buf).unwrap_or_default();
-        let mut writers = Vec::with_capacity(shards);
-        for name in &shard_names {
-            writers.push(StoreWriter::create_with(
-                parent.join(name),
-                FileKind::Graph,
-                version_for(compression),
-            )?);
-        }
-        Ok(CheckpointedShardedGraphSink {
-            writers,
-            manifest_path: path,
-            shard_names,
-            dir: dir.as_ref().to_path_buf(),
-            identity,
-            compression,
-            chunk_records: CHUNK_RECORDS,
-            checkpoint_every: crate::checkpoint::DEFAULT_CHECKPOINT_EVERY,
-            vertices: Vec::new(),
-            src: Vec::new(),
-            dst: Vec::new(),
-            props: Vec::new(),
-            vertices_chunked: 0,
-            edges_chunked: 0,
-            edge_chunks_written: 0,
-            chunks_since_barrier: 0,
-            chunks_written: 0,
-            skip_vertices: 0,
-            skip_edges: 0,
-            kill_after_chunks: None,
-            kill_aborts_process: false,
-            stop: None,
-        })
-    }
-
-    /// Resumes a killed sharded run: validates the identity triple,
-    /// truncates every shard back to its durable prefix (verifying each
-    /// shard's last durable chunk CRC), and arranges for the re-pushed
-    /// durable records to be dropped.
-    pub fn resume(
-        path: impl AsRef<Path>,
-        dir: impl AsRef<Path>,
-        identity: crate::checkpoint::CheckpointIdentity,
-        compression: Compression,
-    ) -> Result<Self, StoreError> {
-        let m = ShardedCheckpointManifest::load(&dir)?;
-        if m.identity != identity {
-            return Err(StoreError::Mismatch(format!(
-                "checkpoint belongs to a different run: manifest has {}/config {:#x}/seed {}, \
-                 resume requested {}/config {:#x}/seed {}",
-                m.identity.generator,
-                m.identity.config_hash,
-                m.identity.master_seed,
-                identity.generator,
-                identity.config_hash,
-                identity.master_seed
-            )));
-        }
-        if m.store_version != version_for(compression) {
-            return Err(StoreError::Mismatch(format!(
-                "checkpoint store version {} does not match requested compression {}",
-                m.store_version,
-                compression.name()
-            )));
-        }
-        let path = path.as_ref().to_path_buf();
-        let shard_names = shard_file_names(&path, m.shards.len());
-        let parent = path.parent().map(Path::to_path_buf).unwrap_or_default();
-        let mut writers = Vec::with_capacity(m.shards.len());
-        let mut edge_chunks_written = 0u64;
-        for (name, state) in shard_names.iter().zip(&m.shards) {
-            let shard_path = parent.join(name);
-            let mut file = OpenOptions::new().read(true).write(true).open(&shard_path)?;
-            let file_len = file.metadata()?.len();
-            if file_len < state.bytes_durable {
-                return Err(StoreError::Mismatch(format!(
-                    "shard {} is shorter ({file_len} B) than the manifest's durable prefix \
-                     ({} B)",
-                    shard_path.display(),
-                    state.bytes_durable
-                )));
-            }
-            let mut header = [0u8; 8];
-            file.read_exact(&mut header)?;
-            if header != FILE_MAGIC {
-                return Err(corrupt(0, "resume target is not a csb store file"));
-            }
-            if let Some(last) = state.chunks.last() {
-                let _span = csb_obs::span_cat("checkpoint.validate", "store");
-                file.seek(SeekFrom::Start(last.offset + 28))?;
-                let mut payload = vec![0u8; last.payload_len as usize];
-                file.read_exact(&mut payload)?;
-                if crc32(&payload) != last.crc32 {
-                    return Err(corrupt(last.offset, "last durable chunk fails its CRC on resume"));
-                }
-            }
-            file.set_len(state.bytes_durable)?;
-            file.seek(SeekFrom::Start(state.bytes_durable))?;
-            edge_chunks_written +=
-                state.chunks.iter().filter(|c| c.kind == ChunkKind::Edge).count() as u64;
-            writers.push(StoreWriter::resume_at(
-                BufWriter::new(file),
-                m.store_version,
-                state.bytes_durable,
-                state.chunks.clone(),
-            ));
-        }
-        csb_obs::counter_add("checkpoint.resumes", 1);
-        Ok(CheckpointedShardedGraphSink {
-            writers,
-            manifest_path: path,
-            shard_names,
-            dir: dir.as_ref().to_path_buf(),
-            identity,
-            compression,
-            chunk_records: (m.chunk_records as usize).max(1),
-            checkpoint_every: crate::checkpoint::DEFAULT_CHECKPOINT_EVERY,
-            vertices: Vec::new(),
-            src: Vec::new(),
-            dst: Vec::new(),
-            props: Vec::new(),
-            vertices_chunked: m.vertices_durable,
-            edges_chunked: m.edges_durable,
-            edge_chunks_written,
-            chunks_since_barrier: 0,
-            chunks_written: 0,
-            skip_vertices: m.vertices_durable,
-            skip_edges: m.edges_durable,
-            kill_after_chunks: None,
-            kill_aborts_process: false,
-            stop: None,
-        })
-    }
-
-    /// Chunks between barriers (at least 1).
-    pub fn with_checkpoint_every(mut self, chunks: u64) -> Self {
-        self.checkpoint_every = chunks.max(1);
-        self
-    }
-
-    /// Overrides the chunk size on a *fresh* run; a resumed sink keeps the
-    /// manifest's chunk size.
-    pub fn with_chunk_records(mut self, records: usize) -> Self {
-        if self.chunks_written == 0 && self.skip_vertices == 0 && self.skip_edges == 0 {
-            self.chunk_records = records.max(1);
-        }
-        self
-    }
-
-    /// Fault-injection hook, as on
-    /// [`CheckpointedGraphSink`](crate::checkpoint::CheckpointedGraphSink):
-    /// refuse (or abort the process) before writing chunk `n + 1`.
-    pub fn with_kill_after_chunks(mut self, n: u64, abort_process: bool) -> Self {
-        self.kill_after_chunks = Some(n);
-        self.kill_aborts_process = abort_process;
-        self
-    }
-
-    /// Cooperative preemption hook, as on
-    /// [`CheckpointedGraphSink`](crate::checkpoint::CheckpointedGraphSink):
-    /// once `flag` is set, the next chunk boundary takes a barrier (one
-    /// consistent durable cut across all shards) and surfaces a `Transient`
-    /// error so the caller can requeue the job for byte-identical resume.
-    pub fn with_stop_flag(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.stop = Some(flag);
-        self
-    }
-
-    fn write_chunk(
-        &mut self,
-        kind: ChunkKind,
-        records: u64,
-        payload: &[u8],
-    ) -> Result<(), StoreError> {
-        if self.stop.as_ref().is_some_and(|f| f.load(Ordering::Relaxed)) {
-            self.barrier()?;
-            return Err(StoreError::Transient(
-                "preempted: stop flag set at chunk boundary (checkpoint barrier taken)".into(),
-            ));
-        }
-        if let Some(n) = self.kill_after_chunks {
-            if self.chunks_written >= n {
-                if self.kill_aborts_process {
-                    std::process::abort();
-                }
-                return Err(StoreError::Transient(format!(
-                    "injected kill after {n} chunks (checkpoint fault hook)"
-                )));
-            }
-        }
-        let shard = match kind {
-            ChunkKind::Vertex => 0,
-            _ => {
-                let s = (self.edge_chunks_written % self.writers.len() as u64) as usize;
-                self.edge_chunks_written += 1;
-                s
-            }
-        };
-        write_sink_chunk(&mut self.writers[shard], self.compression, kind, records, payload)?;
-        csb_obs::counter_add("store.shard_chunks", 1);
-        self.chunks_written += 1;
-        match kind {
-            ChunkKind::Vertex => self.vertices_chunked += records,
-            _ => self.edges_chunked += records,
-        }
-        self.chunks_since_barrier += 1;
-        if self.chunks_since_barrier >= self.checkpoint_every {
-            self.barrier()?;
-        }
-        Ok(())
-    }
-
-    /// Flush + fsync every shard, then atomically replace the manifest: one
-    /// consistent durable cut across the whole shard set.
-    fn barrier(&mut self) -> Result<(), StoreError> {
-        let _span = csb_obs::span_cat("checkpoint.write", "store");
-        for w in &mut self.writers {
-            w.flush()?;
-            w.get_mut().get_ref().sync_data()?;
-        }
-        let manifest = ShardedCheckpointManifest {
-            identity: self.identity.clone(),
-            chunk_records: self.chunk_records as u64,
-            store_version: version_for(self.compression),
-            vertices_durable: self.vertices_chunked,
-            edges_durable: self.edges_chunked,
-            shards: self
-                .writers
-                .iter()
-                .map(|w| ShardCheckpoint {
-                    bytes_durable: w.bytes_written(),
-                    chunks: w.chunks().to_vec(),
-                })
-                .collect(),
-        };
-        manifest.save(&self.dir)?;
-        self.chunks_since_barrier = 0;
-        csb_obs::counter_add("checkpoint.barriers", 1);
-        csb_obs::counter_add(
-            "checkpoint.bytes_durable",
-            manifest.shards.iter().map(|s| s.bytes_durable).sum(),
-        );
-        csb_obs::status::note_barrier(manifest.shards.iter().map(|s| s.chunks.len() as u64).sum());
-        Ok(())
-    }
-
-    fn flush_full_vertex_chunks(&mut self) -> Result<(), StoreError> {
-        while self.vertices.len() >= self.chunk_records {
-            let rest = self.vertices.split_off(self.chunk_records);
-            let chunk = std::mem::replace(&mut self.vertices, rest);
-            let payload: Vec<u8> = chunk.iter().flat_map(|ip| ip.to_le_bytes()).collect();
-            self.write_chunk(ChunkKind::Vertex, chunk.len() as u64, &payload)?;
-        }
-        Ok(())
-    }
-
-    fn flush_full_edge_chunks(&mut self) -> Result<(), StoreError> {
-        while self.src.len() >= self.chunk_records {
-            let rest_src = self.src.split_off(self.chunk_records);
-            let rest_dst = self.dst.split_off(self.chunk_records);
-            let rest_props = self.props.split_off(self.chunk_records);
-            let src = std::mem::replace(&mut self.src, rest_src);
-            let dst = std::mem::replace(&mut self.dst, rest_dst);
-            let props = std::mem::replace(&mut self.props, rest_props);
-            let payload = encode_edge_chunk(&src, &dst, &props);
-            self.write_chunk(ChunkKind::Edge, src.len() as u64, &payload)?;
-        }
-        Ok(())
-    }
-
-    /// Flushes the partial buffers, seals every shard, writes the shard-set
-    /// manifest, and removes the checkpoint manifest.
-    pub fn finish(mut self) -> Result<(), StoreError> {
-        if !self.vertices.is_empty() {
-            let payload: Vec<u8> = self.vertices.iter().flat_map(|ip| ip.to_le_bytes()).collect();
-            let n = self.vertices.len() as u64;
-            self.vertices.clear();
-            self.write_chunk(ChunkKind::Vertex, n, &payload)?;
-        }
-        if !self.src.is_empty() {
-            let payload = encode_edge_chunk(&self.src, &self.dst, &self.props);
-            let n = self.src.len() as u64;
-            self.src.clear();
-            self.dst.clear();
-            self.props.clear();
-            self.write_chunk(ChunkKind::Edge, n, &payload)?;
-        }
-        for w in std::mem::take(&mut self.writers) {
-            w.finish()?;
-        }
-        let manifest = ShardSetManifest { kind: FileKind::Graph, shards: self.shard_names.clone() };
-        manifest.save(&self.manifest_path)?;
-        std::fs::remove_file(ShardedCheckpointManifest::path_in(&self.dir)).ok();
-        Ok(())
-    }
-}
-
-impl EdgeSink for CheckpointedShardedGraphSink {
-    fn push_vertices(&mut self, ips: &[u32]) -> Result<(), StoreError> {
-        let skip = (self.skip_vertices as usize).min(ips.len());
-        self.skip_vertices -= skip as u64;
-        self.vertices.extend_from_slice(&ips[skip..]);
-        self.flush_full_vertex_chunks()
-    }
-
-    fn push_edges(
-        &mut self,
-        src: &[u32],
-        dst: &[u32],
-        props: &[EdgeProperties],
-    ) -> Result<(), StoreError> {
-        assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
-        assert_eq!(src.len(), props.len(), "props length mismatch");
-        let skip = (self.skip_edges as usize).min(src.len());
-        self.skip_edges -= skip as u64;
-        self.src.extend_from_slice(&src[skip..]);
-        self.dst.extend_from_slice(&dst[skip..]);
-        self.props.extend_from_slice(&props[skip..]);
-        self.flush_full_edge_chunks()
-    }
-
-    fn resume_skip_vertices(&self) -> u64 {
-        self.skip_vertices
-    }
-
-    fn resume_skip_edges(&self) -> u64 {
-        self.skip_edges
-    }
-
-    fn note_skipped_edges(&mut self, n: u64) {
-        assert!(
-            n <= self.skip_edges,
-            "producer skipped {n} edges but only {} are durable",
-            self.skip_edges
-        );
-        self.skip_edges -= n;
-    }
+    let layout = ShardedLayout::create(path, FileKind::Flows, shards, compression)?;
+    let mut sink = StoreSink::new(layout).with_chunk_records(chunk_records);
+    sink.push(flows.iter().copied())?;
+    sink.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::CheckpointIdentity;
     use crate::error::CsbError;
-    use crate::sink::{load_graph, GraphStoreSink};
+    use crate::sink::{load_graph, EdgeSink};
     use csb_graph::algo::pagerank::{pagerank, PageRankConfig};
     use csb_graph::ooc::pagerank_ooc;
+    use csb_graph::EdgeProperties;
     use csb_net::flow::{Protocol, TcpConnState};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1261,10 +442,6 @@ mod tests {
         }
     }
 
-    fn identity() -> CheckpointIdentity {
-        CheckpointIdentity { generator: "pgpba".into(), config_hash: 0xFEED, master_seed: 7 }
-    }
-
     /// Pushes `n_vertices` + `n_edges` deterministic records into `sink`.
     fn push_records<S: EdgeSink>(sink: &mut S, n_vertices: u32, n_edges: u64) {
         let ips: Vec<u32> = (0..n_vertices).map(|i| 0xC0A8_0000 + i).collect();
@@ -1283,7 +460,8 @@ mod tests {
 
     /// The same record stream as a single in-memory v1 store file.
     fn single_store_bytes(n_vertices: u32, n_edges: u64, chunk: usize) -> Vec<u8> {
-        let mut sink = GraphStoreSink::new(Vec::new()).expect("sink").with_chunk_records(chunk);
+        let writer = StoreWriter::new(Vec::new(), FileKind::Graph).expect("writer");
+        let mut sink = StoreSink::new(writer).with_chunk_records(chunk);
         push_records(&mut sink, n_vertices, n_edges);
         sink.finish().expect("seal")
     }
@@ -1297,9 +475,8 @@ mod tests {
         chunk: usize,
     ) -> PathBuf {
         let manifest = dir.join("g.csbshards");
-        let mut sink = ShardedGraphSink::create(&manifest, shards, compression)
-            .expect("create")
-            .with_chunk_records(chunk);
+        let layout = ShardedLayout::create(&manifest, FileKind::Graph, shards, compression);
+        let mut sink = StoreSink::new(layout.expect("create")).with_chunk_records(chunk);
         push_records(&mut sink, n_vertices, n_edges);
         sink.finish().expect("finish");
         manifest
@@ -1372,8 +549,8 @@ mod tests {
         for compression in [Compression::None, Compression::Columnar] {
             let dir = temp_dir(&format!("pr-{}", compression.name()));
             let manifest = write_sharded(&dir, 4, compression, n_v, n_e, 128);
-            let mut scan = open_scan(&manifest).expect("open_scan");
-            assert!(matches!(scan, ScanSource::Sharded(_)));
+            let mut scan = ShardedScan::open(&manifest).expect("open");
+            assert_eq!(scan.shard_count(), 4);
             let got = pagerank_ooc(&mut scan, &cfg).expect("sharded pagerank");
             assert_eq!(want.len(), got.len());
             for (a, b) in want.iter().zip(got.iter()) {
@@ -1384,13 +561,13 @@ mod tests {
     }
 
     #[test]
-    fn open_scan_dispatches_on_magic() {
+    fn scan_opens_either_layout_by_magic() {
         let dir = temp_dir("dispatch");
         let single_path = dir.join("g.csbstore");
         std::fs::write(&single_path, single_store_bytes(50, 200, 64)).expect("write");
-        assert!(matches!(open_scan(&single_path).expect("single"), ScanSource::Single(_)));
+        assert_eq!(ShardedScan::open(&single_path).expect("single").shard_count(), 1);
         let manifest = write_sharded(&dir, 2, Compression::None, 50, 200, 64);
-        assert!(matches!(open_scan(&manifest).expect("sharded"), ScanSource::Sharded(_)));
+        assert_eq!(ShardedScan::open(&manifest).expect("sharded").shard_count(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1410,149 +587,6 @@ mod tests {
         swapped.save(&manifest).expect("save");
         let err = ShardedScan::open(&manifest).expect_err("violation");
         assert!(matches!(err, CsbError::Corrupt { .. }), "got {err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpointed_sharded_run_matches_parallel_sink_bytes() {
-        for compression in [Compression::None, Compression::Columnar] {
-            let dir = temp_dir(&format!("ckpt-clean-{}", compression.name()));
-            let (n_v, n_e) = (150u32, 2500u64);
-            let want_manifest = write_sharded(&dir, 3, compression, n_v, n_e, 128);
-            let want = ShardSetManifest::load(&want_manifest).expect("load");
-
-            let ckpt_dir = dir.join("ckpt");
-            let manifest = dir.join("c.csbshards");
-            let mut sink = CheckpointedShardedGraphSink::create(
-                &manifest,
-                &ckpt_dir,
-                identity(),
-                3,
-                compression,
-            )
-            .expect("create")
-            .with_chunk_records(128)
-            .with_checkpoint_every(2);
-            push_records(&mut sink, n_v, n_e);
-            sink.finish().expect("finish");
-
-            let got = ShardSetManifest::load(&manifest).expect("load ckpt manifest");
-            assert_eq!(got.shards.len(), want.shards.len());
-            for (a, b) in want.shard_paths(&want_manifest).iter().zip(got.shard_paths(&manifest)) {
-                let wa = std::fs::read(a).expect("read parallel shard");
-                let wb = std::fs::read(b).expect("read checkpointed shard");
-                assert_eq!(wa, wb, "shard bytes differ ({})", compression.name());
-            }
-            assert!(
-                !ShardedCheckpointManifest::path_in(&ckpt_dir).exists(),
-                "finish must remove the checkpoint manifest"
-            );
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-
-    #[test]
-    fn killed_sharded_run_resumes_to_identical_bytes() {
-        for compression in [Compression::None, Compression::Columnar] {
-            let dir = temp_dir(&format!("ckpt-kill-{}", compression.name()));
-            let (n_v, n_e) = (150u32, 4000u64);
-            let want_manifest = write_sharded(&dir, 4, compression, n_v, n_e, 128);
-            let want = ShardSetManifest::load(&want_manifest).expect("load");
-
-            let ckpt_dir = dir.join("ckpt");
-            let manifest = dir.join("c.csbshards");
-            let mut killed = CheckpointedShardedGraphSink::create(
-                &manifest,
-                &ckpt_dir,
-                identity(),
-                4,
-                compression,
-            )
-            .expect("create")
-            .with_chunk_records(128)
-            .with_checkpoint_every(1)
-            .with_kill_after_chunks(7, false);
-            let ips: Vec<u32> = (0..n_v).map(|i| 0xC0A8_0000 + i).collect();
-            killed.push_vertices(&ips).expect("vertices fit in buffers");
-            let mut e = 0u64;
-            let err = loop {
-                let batch = 97.min(n_e - e);
-                let src: Vec<u32> = (e..e + batch).map(|i| (i % n_v as u64) as u32).collect();
-                let dst: Vec<u32> =
-                    (e..e + batch).map(|i| ((i * 7 + 1) % n_v as u64) as u32).collect();
-                let props: Vec<EdgeProperties> = (e..e + batch).map(prop).collect();
-                match killed.push_edges(&src, &dst, &props) {
-                    Ok(()) => e += batch,
-                    Err(err) => break err,
-                }
-            };
-            assert!(err.is_transient(), "injected kill must be transient: {err}");
-            drop(killed);
-            // Simulate the torn tail a SIGKILL can leave past the barrier on
-            // one of the shards.
-            let m = ShardedCheckpointManifest::load(&ckpt_dir).expect("ckpt manifest");
-            let torn = manifest
-                .parent()
-                .unwrap()
-                .join(format!("{}.s1", manifest.file_name().unwrap().to_string_lossy()));
-            let mut f = OpenOptions::new().append(true).open(&torn).expect("open");
-            f.write_all(&[0xDE, 0xAD]).expect("tear");
-            drop(f);
-
-            let mut resumed =
-                CheckpointedShardedGraphSink::resume(&manifest, &ckpt_dir, identity(), compression)
-                    .expect("resume");
-            assert_eq!(resumed.resume_skip_vertices(), m.vertices_durable);
-            assert_eq!(resumed.resume_skip_edges(), m.edges_durable);
-            push_records(&mut resumed, n_v, n_e);
-            resumed.finish().expect("finish resumed");
-
-            for (a, b) in want
-                .shard_paths(&want_manifest)
-                .iter()
-                .zip(ShardSetManifest::load(&manifest).expect("load").shard_paths(&manifest))
-            {
-                let wa = std::fs::read(a).expect("read uninterrupted shard");
-                let wb = std::fs::read(b).expect("read resumed shard");
-                assert_eq!(wa, wb, "resume is not byte-identical ({})", compression.name());
-            }
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-
-    #[test]
-    fn resume_rejects_wrong_identity_and_compression() {
-        let dir = temp_dir("ckpt-reject");
-        let ckpt_dir = dir.join("ckpt");
-        let manifest = dir.join("c.csbshards");
-        let mut sink = CheckpointedShardedGraphSink::create(
-            &manifest,
-            &ckpt_dir,
-            identity(),
-            2,
-            Compression::None,
-        )
-        .expect("create")
-        .with_chunk_records(64)
-        .with_checkpoint_every(1);
-        push_records(&mut sink, 80, 500);
-        drop(sink); // abandon without finish: manifest stays
-
-        let mut other = identity();
-        other.master_seed ^= 1;
-        let err =
-            CheckpointedShardedGraphSink::resume(&manifest, &ckpt_dir, other, Compression::None)
-                .expect_err("identity");
-        assert!(matches!(err, CsbError::Mismatch(_)), "got {err}");
-
-        let err = CheckpointedShardedGraphSink::resume(
-            &manifest,
-            &ckpt_dir,
-            identity(),
-            Compression::Columnar,
-        )
-        .expect_err("compression");
-        assert!(matches!(err, CsbError::Mismatch(_)), "got {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

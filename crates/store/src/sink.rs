@@ -1,14 +1,18 @@
-//! Streaming sinks: push vertices/edges/flows in whatever granularity the
-//! producer emits them; the sink re-chunks into fixed-size store chunks, so
-//! the file layout depends only on the record stream — a generator pushing
-//! edge-by-edge and one pushing 8192-edge batches produce byte-identical
-//! files.
+//! The write path in one picture: **record schema → re-chunker → layout**.
+//!
+//! Producers push records in whatever granularity they emit them.
+//! [`StoreSink`] stages them column by column under the record's schema
+//! ([`Record`]) and cuts fixed-size chunks, so file bytes depend only on the
+//! record stream — a generator pushing edge-by-edge and one pushing
+//! 8192-edge batches produce byte-identical files. Each finished chunk goes
+//! to a [`Layout`], which decides where it lands: inline on any `Write`
+//! ([`StoreWriter`]), on per-shard writer threads
+//! ([`ShardedLayout`](crate::shard::ShardedLayout)), or on synchronously
+//! written files with checkpoint barriers
+//! ([`CheckpointedLayout`](crate::checkpoint::CheckpointedLayout)).
 
-use crate::codec::{encode_chunk_columns, Compression};
-use crate::format::{
-    ChunkKind, FileKind, StoreError, EDGE_COLUMNS, FLOW_COLUMNS, FORMAT_VERSION, FORMAT_VERSION_V2,
-};
-use crate::read::StoreReader;
+use crate::codec::Compression;
+use crate::format::{chunk_schema, ChunkKind, FileKind, Record, StoreError};
 use crate::write::StoreWriter;
 use csb_graph::graph::VertexId;
 use csb_graph::{EdgeProperties, NetflowGraph};
@@ -80,264 +84,162 @@ impl<S: EdgeSink + ?Sized> EdgeSink for &mut S {
     }
 }
 
-/// Receives NetFlow records as a stream of batches.
-pub trait FlowSink {
-    /// Appends flow records.
-    fn push_flows(&mut self, flows: &[FlowRecord]) -> Result<(), StoreError>;
-}
+/// Where finished chunks land. The sink in front of a layout has already
+/// re-chunked and raw-encoded the record stream; a layout only places,
+/// encodes for storage and writes.
+pub trait Layout {
+    /// What sealing hands back (the inner writer of an inline store).
+    type Sealed;
 
-/// Receives ground-truth-labeled NetFlow records as a stream of batches.
-pub trait LabeledFlowSink {
-    /// Appends labeled flow records.
-    fn push_labeled(&mut self, flows: &[LabeledFlow]) -> Result<(), StoreError>;
-}
+    /// Stores one chunk of `records` records given its raw column-major
+    /// payload.
+    fn write_chunk(
+        &mut self,
+        kind: ChunkKind,
+        records: u64,
+        raw_payload: Vec<u8>,
+    ) -> Result<(), StoreError>;
 
-pub(crate) fn encode_edge_chunk(src: &[u32], dst: &[u32], props: &[EdgeProperties]) -> Vec<u8> {
-    let n = src.len();
-    let mut payload = Vec::with_capacity(n * ChunkKind::Edge.record_width());
-    debug_assert_eq!(EDGE_COLUMNS.len(), 11);
-    for &s in src {
-        payload.extend_from_slice(&s.to_le_bytes());
-    }
-    for &d in dst {
-        payload.extend_from_slice(&d.to_le_bytes());
-    }
-    payload.extend(props.iter().map(|p| p.protocol.number()));
-    for p in props {
-        payload.extend_from_slice(&p.src_port.to_le_bytes());
-    }
-    for p in props {
-        payload.extend_from_slice(&p.dst_port.to_le_bytes());
-    }
-    for p in props {
-        payload.extend_from_slice(&p.duration_ms.to_le_bytes());
-    }
-    for p in props {
-        payload.extend_from_slice(&p.out_bytes.to_le_bytes());
-    }
-    for p in props {
-        payload.extend_from_slice(&p.in_bytes.to_le_bytes());
-    }
-    for p in props {
-        payload.extend_from_slice(&p.out_pkts.to_le_bytes());
-    }
-    for p in props {
-        payload.extend_from_slice(&p.in_pkts.to_le_bytes());
-    }
-    payload.extend(props.iter().map(|p| p.state.code() as u8));
-    payload
-}
+    /// Seals every file of the layout.
+    fn seal(self) -> Result<Self::Sealed, StoreError>;
 
-fn encode_flow_chunk(flows: &[FlowRecord]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(flows.len() * ChunkKind::Flow.record_width());
-    debug_assert_eq!(FLOW_COLUMNS.len(), 14);
-    for f in flows {
-        payload.extend_from_slice(&f.src_ip.to_le_bytes());
+    /// Records of `kind` a resumed checkpoint already holds durably; the
+    /// sink drops that many re-pushed records. Zero for fresh layouts.
+    fn durable(&self, _kind: ChunkKind) -> u64 {
+        0
     }
-    for f in flows {
-        payload.extend_from_slice(&f.dst_ip.to_le_bytes());
-    }
-    payload.extend(flows.iter().map(|f| f.protocol.number()));
-    for f in flows {
-        payload.extend_from_slice(&f.src_port.to_le_bytes());
-    }
-    for f in flows {
-        payload.extend_from_slice(&f.dst_port.to_le_bytes());
-    }
-    for f in flows {
-        payload.extend_from_slice(&f.duration_ms.to_le_bytes());
-    }
-    for f in flows {
-        payload.extend_from_slice(&f.out_bytes.to_le_bytes());
-    }
-    for f in flows {
-        payload.extend_from_slice(&f.in_bytes.to_le_bytes());
-    }
-    for f in flows {
-        payload.extend_from_slice(&f.out_pkts.to_le_bytes());
-    }
-    for f in flows {
-        payload.extend_from_slice(&f.in_pkts.to_le_bytes());
-    }
-    payload.extend(flows.iter().map(|f| f.state.code() as u8));
-    for f in flows {
-        payload.extend_from_slice(&f.syn_count.to_le_bytes());
-    }
-    for f in flows {
-        payload.extend_from_slice(&f.ack_count.to_le_bytes());
-    }
-    for f in flows {
-        payload.extend_from_slice(&f.first_ts_micros.to_le_bytes());
-    }
-    payload
-}
 
-fn encode_labeled_flow_chunk(flows: &[LabeledFlow]) -> Vec<u8> {
-    // The labeled schema is the flow schema plus three trailing label
-    // columns, so the flow encoder produces the payload prefix verbatim.
-    let base: Vec<FlowRecord> = flows.iter().map(|l| l.flow).collect();
-    let mut payload = encode_flow_chunk(&base);
-    payload.reserve(flows.len() * 6);
-    for l in flows {
-        payload.extend_from_slice(&l.label.campaign.to_le_bytes());
-    }
-    payload.extend(flows.iter().map(|l| l.label.stage));
-    payload.extend(flows.iter().map(|l| l.label.class.code()));
-    payload
-}
-
-/// Format version implied by a compression mode.
-pub(crate) fn version_for(compression: Compression) -> u32 {
-    match compression {
-        Compression::None => FORMAT_VERSION,
-        Compression::Columnar => FORMAT_VERSION_V2,
+    /// The chunk size the sink must cut, given the one it asks for. A
+    /// checkpointed layout records it (resume must re-chunk identically) and
+    /// a resumed one answers with the manifest's, whatever is asked.
+    fn chunk_records(&mut self, requested: usize) -> usize {
+        requested
     }
 }
 
-/// Writes one chunk through `writer` under the sink's compression mode:
-/// raw v1 chunks as-is, v2 chunks per-column encoded and tagged.
-pub(crate) fn write_sink_chunk<W: Write>(
-    writer: &mut StoreWriter<W>,
-    compression: Compression,
-    kind: ChunkKind,
-    records: u64,
-    raw_payload: &[u8],
-) -> Result<(), StoreError> {
-    match compression {
-        Compression::None => writer.write_chunk(kind, records, raw_payload),
-        Compression::Columnar => {
-            let (stored, columns) = encode_chunk_columns(kind, records, raw_payload);
-            writer.write_encoded_chunk(kind, records, &stored, columns)
-        }
+impl<W: Write> Layout for StoreWriter<W> {
+    type Sealed = W;
+
+    fn write_chunk(
+        &mut self,
+        kind: ChunkKind,
+        records: u64,
+        raw_payload: Vec<u8>,
+    ) -> Result<(), StoreError> {
+        StoreWriter::write_chunk(self, kind, records, &raw_payload)
+    }
+
+    fn seal(self) -> Result<W, StoreError> {
+        self.finish()
     }
 }
 
-/// An [`EdgeSink`] writing store chunks to `W`.
+/// Column-major staging of one chunk kind: records are appended column by
+/// column as they arrive, so a finished chunk's raw payload is the columns
+/// concatenated.
 #[derive(Debug)]
-pub struct GraphStoreSink<W: Write> {
-    writer: StoreWriter<W>,
-    compression: Compression,
-    chunk_records: usize,
-    vertices: Vec<u32>,
-    src: Vec<u32>,
-    dst: Vec<u32>,
-    props: Vec<EdgeProperties>,
+struct Staging {
+    kind: ChunkKind,
+    cols: Vec<Vec<u8>>,
+    records: usize,
+    /// Re-pushed records still to drop because a resumed checkpoint already
+    /// holds them.
+    skip: u64,
 }
 
-impl GraphStoreSink<BufWriter<File>> {
-    /// Creates an uncompressed (v1) graph store file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        GraphStoreSink::create_with(path, Compression::None)
+impl Staging {
+    fn new(kind: ChunkKind, skip: u64) -> Self {
+        Staging { kind, cols: vec![Vec::new(); chunk_schema(kind).len()], records: 0, skip }
     }
 
-    /// Creates a graph store file at `path` with the given compression.
-    pub fn create_with(
-        path: impl AsRef<Path>,
-        compression: Compression,
-    ) -> Result<Self, StoreError> {
-        let writer = StoreWriter::create_with(path, FileKind::Graph, version_for(compression))?;
-        Ok(GraphStoreSink::from_writer(writer, compression))
-    }
-}
-
-impl<W: Write> GraphStoreSink<W> {
-    /// Starts an uncompressed (v1) graph store stream on `w`.
-    pub fn new(w: W) -> Result<Self, StoreError> {
-        GraphStoreSink::new_with(w, Compression::None)
-    }
-
-    /// Starts a graph store stream on `w` with the given compression.
-    pub fn new_with(w: W, compression: Compression) -> Result<Self, StoreError> {
-        let writer = StoreWriter::new_with(w, FileKind::Graph, version_for(compression))?;
-        Ok(GraphStoreSink::from_writer(writer, compression))
-    }
-
-    fn from_writer(writer: StoreWriter<W>, compression: Compression) -> Self {
-        GraphStoreSink {
-            writer,
-            compression,
-            chunk_records: CHUNK_RECORDS,
-            vertices: Vec::new(),
-            src: Vec::new(),
-            dst: Vec::new(),
-            props: Vec::new(),
+    fn push<R: Record>(&mut self, records: impl ExactSizeIterator<Item = R> + Clone) {
+        self.records += records.len();
+        for (c, (col, out)) in chunk_schema(self.kind).iter().zip(&mut self.cols).enumerate() {
+            let values = records.clone().map(|r| r.column(c));
+            match col.width {
+                1 => out.extend(values.map(|v| v as u8)),
+                2 => values.for_each(|v| out.extend_from_slice(&(v as u16).to_le_bytes())),
+                4 => values.for_each(|v| out.extend_from_slice(&(v as u32).to_le_bytes())),
+                _ => values.for_each(|v| out.extend_from_slice(&v.to_le_bytes())),
+            }
         }
+    }
+
+    /// Empties the staging area, returning the raw payload of its records.
+    fn take(&mut self) -> Vec<u8> {
+        let mut payload = Vec::with_capacity(self.records * self.kind.record_width());
+        for bytes in &mut self.cols {
+            payload.extend_from_slice(bytes);
+            bytes.clear();
+        }
+        self.records = 0;
+        payload
+    }
+}
+
+/// The one store writer: re-chunks any mix of record kinds into fixed-size
+/// chunks and hands them to its [`Layout`]. It is an [`EdgeSink`] for graph
+/// producers; flow producers call [`StoreSink::push`] directly.
+#[derive(Debug)]
+pub struct StoreSink<L: Layout> {
+    layout: L,
+    chunk_records: usize,
+    /// One staging area per chunk kind, indexed by [`ChunkKind::code`].
+    staged: [Staging; ChunkKind::ALL.len()],
+}
+
+impl<L: Layout> StoreSink<L> {
+    /// Starts writing through `layout`, picking up where a resumed layout
+    /// left off.
+    pub fn new(mut layout: L) -> Self {
+        let chunk_records = layout.chunk_records(CHUNK_RECORDS);
+        let staged = ChunkKind::ALL.map(|kind| Staging::new(kind, layout.durable(kind)));
+        StoreSink { layout, chunk_records, staged }
     }
 
     /// Overrides the chunk size (tests use small chunks to exercise the
-    /// multi-chunk paths cheaply).
+    /// multi-chunk paths cheaply). A resumed checkpoint keeps its own.
     pub fn with_chunk_records(mut self, records: usize) -> Self {
-        self.chunk_records = records.max(1);
+        self.chunk_records = self.layout.chunk_records(records.max(1));
         self
     }
 
-    fn flush_full_vertex_chunks(&mut self) -> Result<(), StoreError> {
-        while self.vertices.len() >= self.chunk_records {
-            let rest = self.vertices.split_off(self.chunk_records);
-            let chunk = std::mem::replace(&mut self.vertices, rest);
-            let payload: Vec<u8> = chunk.iter().flat_map(|ip| ip.to_le_bytes()).collect();
-            write_sink_chunk(
-                &mut self.writer,
-                self.compression,
-                ChunkKind::Vertex,
-                chunk.len() as u64,
-                &payload,
-            )?;
+    /// Appends records of any kind, emitting every chunk they complete.
+    /// Records are staged at most one chunk at a time, so a bulk push holds
+    /// no more than a chunk beyond the caller's own copy.
+    pub fn push<R: Record>(
+        &mut self,
+        records: impl ExactSizeIterator<Item = R> + Clone,
+    ) -> Result<(), StoreError> {
+        let staging = &mut self.staged[R::KIND.code() as usize];
+        let skip = staging.skip.min(records.len() as u64);
+        staging.skip -= skip;
+        let mut done = skip as usize;
+        while done < records.len() {
+            let piece = (self.chunk_records - staging.records).min(records.len() - done);
+            staging.push(records.clone().skip(done).take(piece));
+            done += piece;
+            if staging.records == self.chunk_records {
+                self.layout.write_chunk(R::KIND, staging.records as u64, staging.take())?;
+            }
         }
         Ok(())
     }
 
-    fn flush_full_edge_chunks(&mut self) -> Result<(), StoreError> {
-        while self.src.len() >= self.chunk_records {
-            let rest_src = self.src.split_off(self.chunk_records);
-            let rest_dst = self.dst.split_off(self.chunk_records);
-            let rest_props = self.props.split_off(self.chunk_records);
-            let src = std::mem::replace(&mut self.src, rest_src);
-            let dst = std::mem::replace(&mut self.dst, rest_dst);
-            let props = std::mem::replace(&mut self.props, rest_props);
-            let payload = encode_edge_chunk(&src, &dst, &props);
-            write_sink_chunk(
-                &mut self.writer,
-                self.compression,
-                ChunkKind::Edge,
-                src.len() as u64,
-                &payload,
-            )?;
+    /// Flushes the partial chunks (vertices first) and seals the layout.
+    pub fn finish(mut self) -> Result<L::Sealed, StoreError> {
+        for staging in &mut self.staged {
+            if staging.records > 0 {
+                self.layout.write_chunk(staging.kind, staging.records as u64, staging.take())?;
+            }
         }
-        Ok(())
-    }
-
-    /// Flushes the partial buffers and seals the file, returning the inner
-    /// writer.
-    pub fn finish(mut self) -> Result<W, StoreError> {
-        if !self.vertices.is_empty() {
-            let payload: Vec<u8> = self.vertices.iter().flat_map(|ip| ip.to_le_bytes()).collect();
-            write_sink_chunk(
-                &mut self.writer,
-                self.compression,
-                ChunkKind::Vertex,
-                self.vertices.len() as u64,
-                &payload,
-            )?;
-        }
-        if !self.src.is_empty() {
-            let payload = encode_edge_chunk(&self.src, &self.dst, &self.props);
-            write_sink_chunk(
-                &mut self.writer,
-                self.compression,
-                ChunkKind::Edge,
-                self.src.len() as u64,
-                &payload,
-            )?;
-        }
-        self.writer.finish()
+        self.layout.seal()
     }
 }
 
-impl<W: Write> EdgeSink for GraphStoreSink<W> {
+impl<L: Layout> EdgeSink for StoreSink<L> {
     fn push_vertices(&mut self, ips: &[u32]) -> Result<(), StoreError> {
-        self.vertices.extend_from_slice(ips);
-        self.flush_full_vertex_chunks()
+        self.push(ips.iter().copied())
     }
 
     fn push_edges(
@@ -348,169 +250,21 @@ impl<W: Write> EdgeSink for GraphStoreSink<W> {
     ) -> Result<(), StoreError> {
         assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
         assert_eq!(src.len(), props.len(), "props length mismatch");
-        self.src.extend_from_slice(src);
-        self.dst.extend_from_slice(dst);
-        self.props.extend_from_slice(props);
-        self.flush_full_edge_chunks()
-    }
-}
-
-/// A [`FlowSink`] writing store chunks to `W`.
-#[derive(Debug)]
-pub struct FlowStoreSink<W: Write> {
-    writer: StoreWriter<W>,
-    compression: Compression,
-    chunk_records: usize,
-    flows: Vec<FlowRecord>,
-}
-
-impl FlowStoreSink<BufWriter<File>> {
-    /// Creates an uncompressed (v1) flow store file at `path`.
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        FlowStoreSink::create_with(path, Compression::None)
+        self.push(src.iter().zip(dst).zip(props).map(|((&s, &d), &p)| (s, d, p)))
     }
 
-    /// Creates a flow store file at `path` with the given compression.
-    pub fn create_with(
-        path: impl AsRef<Path>,
-        compression: Compression,
-    ) -> Result<Self, StoreError> {
-        let writer = StoreWriter::create_with(path, FileKind::Flows, version_for(compression))?;
-        Ok(FlowStoreSink { writer, compression, chunk_records: CHUNK_RECORDS, flows: Vec::new() })
-    }
-}
-
-impl<W: Write> FlowStoreSink<W> {
-    /// Starts an uncompressed (v1) flow store stream on `w`.
-    pub fn new(w: W) -> Result<Self, StoreError> {
-        FlowStoreSink::new_with(w, Compression::None)
+    fn resume_skip_vertices(&self) -> u64 {
+        self.staged[ChunkKind::Vertex.code() as usize].skip
     }
 
-    /// Starts a flow store stream on `w` with the given compression.
-    pub fn new_with(w: W, compression: Compression) -> Result<Self, StoreError> {
-        let writer = StoreWriter::new_with(w, FileKind::Flows, version_for(compression))?;
-        Ok(FlowStoreSink { writer, compression, chunk_records: CHUNK_RECORDS, flows: Vec::new() })
+    fn resume_skip_edges(&self) -> u64 {
+        self.staged[ChunkKind::Edge.code() as usize].skip
     }
 
-    /// Overrides the chunk size.
-    pub fn with_chunk_records(mut self, records: usize) -> Self {
-        self.chunk_records = records.max(1);
-        self
-    }
-
-    /// Flushes the partial buffer and seals the file.
-    pub fn finish(mut self) -> Result<W, StoreError> {
-        if !self.flows.is_empty() {
-            let payload = encode_flow_chunk(&self.flows);
-            write_sink_chunk(
-                &mut self.writer,
-                self.compression,
-                ChunkKind::Flow,
-                self.flows.len() as u64,
-                &payload,
-            )?;
-        }
-        self.writer.finish()
-    }
-}
-
-impl<W: Write> FlowSink for FlowStoreSink<W> {
-    fn push_flows(&mut self, flows: &[FlowRecord]) -> Result<(), StoreError> {
-        self.flows.extend_from_slice(flows);
-        while self.flows.len() >= self.chunk_records {
-            let rest = self.flows.split_off(self.chunk_records);
-            let chunk = std::mem::replace(&mut self.flows, rest);
-            let payload = encode_flow_chunk(&chunk);
-            write_sink_chunk(
-                &mut self.writer,
-                self.compression,
-                ChunkKind::Flow,
-                chunk.len() as u64,
-                &payload,
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// A [`LabeledFlowSink`] writing labeled flow chunks to `W`. The file is a
-/// regular flow store (`FileKind::Flows`) whose chunks carry the labeled
-/// schema, so unlabeled readers still load it (labels dropped).
-#[derive(Debug)]
-pub struct LabeledFlowStoreSink<W: Write> {
-    writer: StoreWriter<W>,
-    compression: Compression,
-    chunk_records: usize,
-    flows: Vec<LabeledFlow>,
-}
-
-impl LabeledFlowStoreSink<BufWriter<File>> {
-    /// Creates a labeled flow store file at `path` with the given
-    /// compression.
-    pub fn create_with(
-        path: impl AsRef<Path>,
-        compression: Compression,
-    ) -> Result<Self, StoreError> {
-        let writer = StoreWriter::create_with(path, FileKind::Flows, version_for(compression))?;
-        Ok(LabeledFlowStoreSink {
-            writer,
-            compression,
-            chunk_records: CHUNK_RECORDS,
-            flows: Vec::new(),
-        })
-    }
-}
-
-impl<W: Write> LabeledFlowStoreSink<W> {
-    /// Starts a labeled flow store stream on `w` with the given compression.
-    pub fn new_with(w: W, compression: Compression) -> Result<Self, StoreError> {
-        let writer = StoreWriter::new_with(w, FileKind::Flows, version_for(compression))?;
-        Ok(LabeledFlowStoreSink {
-            writer,
-            compression,
-            chunk_records: CHUNK_RECORDS,
-            flows: Vec::new(),
-        })
-    }
-
-    /// Overrides the chunk size.
-    pub fn with_chunk_records(mut self, records: usize) -> Self {
-        self.chunk_records = records.max(1);
-        self
-    }
-
-    /// Flushes the partial buffer and seals the file.
-    pub fn finish(mut self) -> Result<W, StoreError> {
-        if !self.flows.is_empty() {
-            let payload = encode_labeled_flow_chunk(&self.flows);
-            write_sink_chunk(
-                &mut self.writer,
-                self.compression,
-                ChunkKind::LabeledFlow,
-                self.flows.len() as u64,
-                &payload,
-            )?;
-        }
-        self.writer.finish()
-    }
-}
-
-impl<W: Write> LabeledFlowSink for LabeledFlowStoreSink<W> {
-    fn push_labeled(&mut self, flows: &[LabeledFlow]) -> Result<(), StoreError> {
-        self.flows.extend_from_slice(flows);
-        while self.flows.len() >= self.chunk_records {
-            let rest = self.flows.split_off(self.chunk_records);
-            let chunk = std::mem::replace(&mut self.flows, rest);
-            let payload = encode_labeled_flow_chunk(&chunk);
-            write_sink_chunk(
-                &mut self.writer,
-                self.compression,
-                ChunkKind::LabeledFlow,
-                chunk.len() as u64,
-                &payload,
-            )?;
-        }
-        Ok(())
+    fn note_skipped_edges(&mut self, n: u64) {
+        let skip = &mut self.staged[ChunkKind::Edge.code() as usize].skip;
+        assert!(n <= *skip, "producer skipped {n} edges but only {skip} are durable");
+        *skip -= n;
     }
 }
 
@@ -567,7 +321,7 @@ pub fn save_graph(path: impl AsRef<Path>, g: &NetflowGraph) -> Result<(), StoreE
 
 /// Writes `g` as a graph store stream on `w`, returning the writer.
 pub fn save_graph_to<W: Write>(w: W, g: &NetflowGraph) -> Result<W, StoreError> {
-    let mut sink = GraphStoreSink::new(w)?;
+    let mut sink = StoreSink::new(StoreWriter::new(w, FileKind::Graph)?);
     push_graph(&mut sink, g)?;
     sink.finish()
 }
@@ -583,17 +337,13 @@ pub fn push_graph(sink: &mut impl EdgeSink, g: &NetflowGraph) -> Result<(), Stor
 /// Loads the graph store at `path` — a plain store file or a shard-set
 /// manifest, told apart by magic.
 pub fn load_graph(path: impl AsRef<Path>) -> Result<NetflowGraph, StoreError> {
-    if crate::shard::is_shard_set(&path)? {
-        crate::shard::load_graph_sharded(path)
-    } else {
-        StoreReader::open(path)?.load_graph()
-    }
+    crate::read::load_graph_from(&mut crate::shard::open_readers(path)?)
 }
 
-/// Writes `flows` as a flow store file at `path`.
+/// Writes `flows` as an uncompressed (v1) flow store file at `path`.
 pub fn save_flows(path: impl AsRef<Path>, flows: &[FlowRecord]) -> Result<(), StoreError> {
-    let mut sink = FlowStoreSink::create(path)?;
-    sink.push_flows(flows)?;
+    let mut sink = StoreSink::new(StoreWriter::create(path, FileKind::Flows)?);
+    sink.push(flows.iter().copied())?;
     sink.finish()?;
     Ok(())
 }
@@ -601,22 +351,20 @@ pub fn save_flows(path: impl AsRef<Path>, flows: &[FlowRecord]) -> Result<(), St
 /// Loads the flow store at `path` — a plain store file or a shard-set
 /// manifest, told apart by magic. Labels, if present, are dropped.
 pub fn load_flows(path: impl AsRef<Path>) -> Result<Vec<FlowRecord>, StoreError> {
-    if crate::shard::is_shard_set(&path)? {
-        Ok(crate::shard::load_labeled_flows_sharded(path)?.into_iter().map(|l| l.flow).collect())
-    } else {
-        StoreReader::open(path)?.load_flows()
-    }
+    Ok(load_labeled_flows(path)?.into_iter().map(|l| l.flow).collect())
 }
 
 /// Writes labeled flows as a flow store file at `path` with the given
-/// compression.
+/// compression. The file is a regular flow store (`FileKind::Flows`) whose
+/// chunks carry the labeled schema, so unlabeled readers still load it.
 pub fn save_labeled_flows(
     path: impl AsRef<Path>,
     flows: &[LabeledFlow],
     compression: Compression,
 ) -> Result<(), StoreError> {
-    let mut sink = LabeledFlowStoreSink::create_with(path, compression)?;
-    sink.push_labeled(flows)?;
+    let writer = StoreWriter::create_with(path, FileKind::Flows, compression.version())?;
+    let mut sink = StoreSink::new(writer);
+    sink.push(flows.iter().copied())?;
     sink.finish()?;
     Ok(())
 }
@@ -624,9 +372,89 @@ pub fn save_labeled_flows(
 /// Loads the labeled flow store at `path` — a plain store file or a
 /// shard-set manifest. Plain v1 flow stores load as all-benign.
 pub fn load_labeled_flows(path: impl AsRef<Path>) -> Result<Vec<LabeledFlow>, StoreError> {
-    if crate::shard::is_shard_set(&path)? {
-        crate::shard::load_labeled_flows_sharded(path)
-    } else {
-        StoreReader::open(path)?.load_labeled_flows()
+    crate::read::load_labeled_flows_from(&mut crate::shard::open_readers(path)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records what a sink hands its layout; claims `durable` records of
+    /// every kind are already held, as a resumed checkpoint would.
+    #[derive(Default)]
+    struct Recording {
+        chunks: Vec<(ChunkKind, u64, Vec<u8>)>,
+        durable: u64,
+    }
+
+    impl Layout for Recording {
+        type Sealed = Vec<(ChunkKind, u64, Vec<u8>)>;
+
+        fn write_chunk(&mut self, kind: ChunkKind, n: u64, raw: Vec<u8>) -> Result<(), StoreError> {
+            self.chunks.push((kind, n, raw));
+            Ok(())
+        }
+
+        fn seal(self) -> Result<Self::Sealed, StoreError> {
+            Ok(self.chunks)
+        }
+
+        fn durable(&self, _kind: ChunkKind) -> u64 {
+            self.durable
+        }
+    }
+
+    #[test]
+    fn chunks_depend_on_the_stream_not_on_the_push_sizes() {
+        let ips: Vec<u32> = (0..23).collect();
+        let props = vec![EdgeProperties::placeholder(); 23];
+        let written = |batch: usize| {
+            let mut sink = StoreSink::new(Recording::default()).with_chunk_records(5);
+            // Edges first: finish still flushes the vertex tail before theirs.
+            for i in (0..23).step_by(batch) {
+                let j = (i + batch).min(23);
+                sink.push_edges(&ips[i..j], &ips[i..j], &props[i..j]).expect("edges");
+                sink.push_vertices(&ips[i..j]).expect("vertices");
+            }
+            sink.finish().expect("seal")
+        };
+        let bulk = written(23);
+        let shape: Vec<_> = bulk.iter().map(|(kind, n, raw)| (*kind, *n, raw.len())).collect();
+        let (v, e) = (ChunkKind::Vertex, ChunkKind::Edge);
+        let full = [(e, 5, 270), (e, 5, 270), (e, 5, 270), (e, 5, 270)];
+        let mut want = full.to_vec();
+        want.extend([(v, 5, 20); 4]);
+        want.extend([(v, 3, 12), (e, 3, 162)]);
+        assert_eq!(shape, want);
+        assert_eq!(bulk[4].2[..8], [0, 0, 0, 0, 1, 0, 0, 0], "little-endian, record order");
+        // One record at a time interleaves the kinds differently, but each
+        // kind's chunks are the same.
+        let of = |chunks: &[(ChunkKind, u64, Vec<u8>)], kind| {
+            chunks.iter().filter(|c| c.0 == kind).cloned().collect::<Vec<_>>()
+        };
+        let single = written(1);
+        assert_eq!(of(&single, v), of(&bulk, v));
+        assert_eq!(of(&single, e), of(&bulk, e));
+    }
+
+    #[test]
+    fn records_a_resumed_layout_holds_are_dropped_once() {
+        let mut sink =
+            StoreSink::new(Recording { durable: 7, ..Default::default() }).with_chunk_records(4);
+        assert_eq!((sink.resume_skip_vertices(), sink.resume_skip_edges()), (7, 7));
+        let ips: Vec<u32> = (0..10).collect();
+        sink.push_vertices(&ips[..3]).expect("all three are durable");
+        assert_eq!(sink.resume_skip_vertices(), 4);
+        sink.push_vertices(&ips[3..]).expect("four more are durable, three are new");
+        assert_eq!(sink.resume_skip_vertices(), 0);
+        // The producer regenerates edges from 4 on; the sink drops 4, 5, 6.
+        sink.note_skipped_edges(4);
+        let props = vec![EdgeProperties::placeholder(); 6];
+        sink.push_edges(&ips[4..], &ips[4..], &props).expect("edges");
+        let chunks = sink.finish().expect("seal");
+        let ids = |raw: &[u8]| raw.chunks(4).map(|b| b[0]).collect::<Vec<_>>();
+        assert_eq!(chunks.len(), 2);
+        assert_eq!(ids(&chunks[0].2), [7, 8, 9]);
+        assert_eq!(ids(&chunks[1].2[..12]), [7, 8, 9], "edge sources 7..10 survive");
     }
 }

@@ -3,7 +3,7 @@
 //! counting written bytes, so plain `Write` targets (sockets, pipes,
 //! `Vec<u8>`) work — no `Seek` bound on the write path.
 
-use crate::codec::ColumnCodec;
+use crate::codec::{encode_chunk_columns, ColumnCodec};
 use crate::crc32::crc32;
 use crate::format::{
     ChunkEntry, ChunkKind, FileKind, StoreError, CHUNK_MAGIC, FILE_MAGIC, FORMAT_VERSION,
@@ -97,43 +97,25 @@ impl<W: Write> StoreWriter<W> {
         self.written
     }
 
-    /// Appends one chunk of `records` records with the given raw column-major
-    /// payload. v1 only: v2 chunks must carry a column directory, so v2
-    /// writers go through [`StoreWriter::write_encoded_chunk`].
+    /// Appends one chunk of `records` records given its raw column-major
+    /// payload: stored as-is in a v1 file; in a v2 file each column is encoded
+    /// on its own and tagged in the footer (see
+    /// [`crate::codec::encode_chunk_columns`]).
     pub fn write_chunk(
         &mut self,
         kind: ChunkKind,
         records: u64,
-        payload: &[u8],
+        raw_payload: &[u8],
     ) -> Result<(), StoreError> {
-        debug_assert_eq!(payload.len(), records as usize * kind.record_width());
-        assert_eq!(
-            self.version, FORMAT_VERSION,
-            "v2 writers must tag every chunk's columns via write_encoded_chunk"
-        );
-        self.write_chunk_inner(kind, records, payload, Vec::new())
+        debug_assert_eq!(raw_payload.len(), records as usize * kind.record_width());
+        if self.version == FORMAT_VERSION {
+            return self.write_stored(kind, records, raw_payload, Vec::new());
+        }
+        let (stored, columns) = encode_chunk_columns(kind, records, raw_payload);
+        self.write_stored(kind, records, &stored, columns)
     }
 
-    /// Appends one v2 chunk: per-column encoded bytes (concatenated in
-    /// schema order) plus their codec tags, as produced by
-    /// [`crate::codec::encode_chunk_columns`].
-    pub fn write_encoded_chunk(
-        &mut self,
-        kind: ChunkKind,
-        records: u64,
-        stored: &[u8],
-        columns: Vec<ColumnCodec>,
-    ) -> Result<(), StoreError> {
-        assert_eq!(self.version, FORMAT_VERSION_V2, "encoded chunks require a v2 file");
-        debug_assert_eq!(
-            columns.iter().map(|c| c.enc_len as u64).sum::<u64>(),
-            stored.len() as u64,
-            "column tags must tile the stored payload"
-        );
-        self.write_chunk_inner(kind, records, stored, columns)
-    }
-
-    fn write_chunk_inner(
+    fn write_stored(
         &mut self,
         kind: ChunkKind,
         records: u64,

@@ -5,11 +5,9 @@
 
 use csb_net::flow::{FlowRecord, Protocol, TcpConnState};
 use csb_net::{AttackClass, FlowLabel, LabeledFlow};
-use csb_store::sink::FlowSink;
 use csb_store::{
-    load_flows, load_labeled_flows, load_labeled_flows_sharded, save_labeled_flows,
-    save_labeled_flows_sharded, Compression, FlowStoreSink, LabeledFlowSink, LabeledFlowStoreSink,
-    StoreReader,
+    load_flows, load_labeled_flows, save_labeled_flows, save_labeled_flows_sharded, Compression,
+    FileKind, StoreReader, StoreSink, StoreWriter,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -77,10 +75,10 @@ proptest! {
         for compression in [Compression::None, Compression::Columnar] {
             let dir = tempdir();
             let path = dir.join("flows.csb");
-            let mut sink = LabeledFlowStoreSink::create_with(&path, compression)
-                .unwrap()
-                .with_chunk_records(chunk);
-            sink.push_labeled(&flows).unwrap();
+            let writer =
+                StoreWriter::create_with(&path, FileKind::Flows, compression.version()).unwrap();
+            let mut sink = StoreSink::new(writer).with_chunk_records(chunk);
+            sink.push(flows.iter().copied()).unwrap();
             sink.finish().unwrap();
             let back = load_labeled_flows(&path).unwrap();
             prop_assert_eq!(&back, &flows, "labeled round trip ({:?})", compression);
@@ -98,11 +96,9 @@ proptest! {
         let dir = tempdir();
         let path = dir.join("flows.csbset");
         save_labeled_flows_sharded(&path, &flows, shards, Compression::Columnar, chunk).unwrap();
-        let back = load_labeled_flows_sharded(&path).unwrap();
+        // The loader sniffs the manifest magic.
+        let back = load_labeled_flows(&path).unwrap();
         prop_assert_eq!(&back, &flows, "sharded round trip, {} shards", shards);
-        // The top-level loader sniffs the manifest magic.
-        let sniffed = load_labeled_flows(&path).unwrap();
-        prop_assert_eq!(sniffed, flows);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -165,8 +161,9 @@ fn v1_flow_store_fixture_keeps_loading() {
     let path = fixture_path();
     let flows = fixture_flows();
     if !path.exists() {
-        let mut sink = FlowStoreSink::create(&path).unwrap().with_chunk_records(7);
-        sink.push_flows(&flows).unwrap();
+        let writer = StoreWriter::create(&path, FileKind::Flows).unwrap();
+        let mut sink = StoreSink::new(writer).with_chunk_records(7);
+        sink.push(flows.iter().copied()).unwrap();
         sink.finish().unwrap();
         eprintln!("blessed new v1 flow fixture at {}", path.display());
     }

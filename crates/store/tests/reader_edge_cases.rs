@@ -6,8 +6,8 @@
 use csb_graph::graph::VertexId;
 use csb_graph::ooc::EdgeScan;
 use csb_graph::{EdgeProperties, NetflowGraph};
-use csb_store::sink::{push_graph, GraphStoreSink};
-use csb_store::{ChunkKind, StoreReader, StoreScan};
+use csb_store::sink::{push_graph, StoreSink};
+use csb_store::{ChunkKind, EdgeRecord, FileKind, StoreReader, StoreScan, StoreWriter};
 use std::io::Cursor;
 
 fn graph_of(n: u32, edges: &[(u32, u32)]) -> NetflowGraph {
@@ -20,7 +20,8 @@ fn graph_of(n: u32, edges: &[(u32, u32)]) -> NetflowGraph {
 }
 
 fn sealed_bytes(g: &NetflowGraph, chunk_records: usize) -> Vec<u8> {
-    let mut sink = GraphStoreSink::new(Vec::new()).expect("sink").with_chunk_records(chunk_records);
+    let mut sink = StoreSink::new(StoreWriter::new(Vec::new(), FileKind::Graph).expect("writer"))
+        .with_chunk_records(chunk_records);
     push_graph(&mut sink, g).expect("push");
     sink.finish().expect("seal")
 }
@@ -41,8 +42,8 @@ fn assert_paths_agree(bytes: Vec<u8>, expect_edges: usize) {
         if reader.chunks()[idx].kind != ChunkKind::Edge {
             continue;
         }
-        let batch = reader.read_edge_batch(idx).expect("edge batch");
-        iterated.extend(batch.src.iter().copied().zip(batch.dst.iter().copied()));
+        let batch = reader.read_batch::<EdgeRecord>(idx).expect("edge batch");
+        iterated.extend(batch.iter().map(|&(src, dst, _)| (src, dst)));
     }
     assert_eq!(loaded, iterated, "load_graph vs chunk iteration");
 
@@ -109,4 +110,66 @@ fn chunk_size_larger_than_data() {
     let edge_chunks = reader.chunks().iter().filter(|c| c.kind == ChunkKind::Edge).count();
     assert_eq!(edge_chunks, 1);
     assert_paths_agree(bytes, 2);
+}
+
+/// Manifests are recovery state read back after a crash. A CRC-correct one
+/// whose entry count was inflated must be refused as corrupt by every parser
+/// — not trusted into a multi-gigabyte reservation or a capacity panic.
+#[test]
+fn inflated_manifest_counts_are_corrupt_not_allocated() {
+    use csb_store::checkpoint::{CheckpointIdentity, CheckpointManifest, ShardCheckpoint};
+    use csb_store::crc32::crc32;
+    use csb_store::{CsbError, ShardSetManifest};
+
+    let dir = std::env::temp_dir().join(format!("csb-hostile-manifest-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    // Overwrites `len` bytes at `at` with 0xFF and re-seals the file's CRC.
+    let inflate = |path: &std::path::Path, at: usize, len: usize| {
+        let mut bytes = std::fs::read(path).expect("read");
+        let body = bytes.len() - 4;
+        bytes[at..at + len].fill(0xFF);
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(path, &bytes).expect("write");
+    };
+    let assert_corrupt = |what: &str, err: CsbError| {
+        assert!(matches!(err, CsbError::Corrupt { .. }), "{what}: got {err}");
+    };
+
+    // Shard set: magic 8 | version 4 | kind 4 | shard count u32 at 16.
+    let set = dir.join("g.csbshards");
+    ShardSetManifest { kind: csb_store::FileKind::Graph, shards: vec!["g.s0".into()] }
+        .save(&set)
+        .expect("save");
+    inflate(&set, 16, 4);
+    assert_corrupt("shard count", ShardSetManifest::load(&set).expect_err("inflated"));
+
+    // Checkpoints: magic 8 | version 4 | name len 1 | name | hash 8 | seed 8 |
+    // chunk records 8, then the fields that differ per magic.
+    let identity = CheckpointIdentity { generator: "pgpba".into(), config_hash: 1, master_seed: 2 };
+    let fixed = 8 + 4 + 1 + identity.generator.len() + 8 + 8 + 8;
+    let manifest = |files: usize| CheckpointManifest {
+        identity: identity.clone(),
+        chunk_records: 64,
+        store_version: 1,
+        vertices_durable: 0,
+        edges_durable: 0,
+        shards: vec![ShardCheckpoint { bytes_durable: 16, chunks: vec![] }; files],
+    };
+    let path = CheckpointManifest::path_in(&dir);
+
+    // CSBCKPT1: vertices 8 | edges 8 | bytes durable 8 | chunk count u64.
+    manifest(1).save(&dir).expect("save");
+    inflate(&path, fixed + 24, 8);
+    assert_corrupt("CSBCKPT1 chunks", CheckpointManifest::load(&dir).expect_err("inflated"));
+
+    // CSBCKPT2: store version 4 | vertices 8 | edges 8 | shard count u32,
+    // then per shard: bytes durable 8 | chunk count u64.
+    manifest(2).save(&dir).expect("save");
+    inflate(&path, fixed + 20, 4);
+    assert_corrupt("CSBCKPT2 shards", CheckpointManifest::load(&dir).expect_err("inflated"));
+    manifest(2).save(&dir).expect("save");
+    inflate(&path, fixed + 24 + 8, 8);
+    assert_corrupt("CSBCKPT2 chunks", CheckpointManifest::load(&dir).expect_err("inflated"));
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,8 +4,8 @@
 use csb_graph::graph::VertexId;
 use csb_graph::{EdgeProperties, NetflowGraph};
 use csb_net::flow::{Protocol, TcpConnState};
-use csb_store::sink::{push_graph, GraphStoreSink};
-use csb_store::{StoreError, StoreReader};
+use csb_store::sink::{push_graph, StoreSink};
+use csb_store::{FileKind, StoreError, StoreReader, StoreWriter};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -50,7 +50,8 @@ fn build_graph(ips: &[u32], raw: &[RawEdge]) -> NetflowGraph {
 }
 
 fn save_with_chunk(g: &NetflowGraph, chunk_records: usize) -> Result<Vec<u8>, StoreError> {
-    let mut sink = GraphStoreSink::new(Vec::new())?.with_chunk_records(chunk_records);
+    let mut sink = StoreSink::new(StoreWriter::new(Vec::new(), FileKind::Graph)?)
+        .with_chunk_records(chunk_records);
     push_graph(&mut sink, g)?;
     sink.finish()
 }

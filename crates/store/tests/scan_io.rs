@@ -9,8 +9,8 @@
 
 use csb_graph::ooc::EdgeScan;
 use csb_graph::{EdgeProperties, NetflowGraph, VertexId};
-use csb_store::sink::{push_graph, GraphStoreSink};
-use csb_store::{ChunkKind, StoreReader, StoreScan};
+use csb_store::sink::{push_graph, StoreSink};
+use csb_store::{ChunkKind, FileKind, StoreReader, StoreScan, StoreWriter};
 use std::io::Cursor;
 
 fn sample_graph(n: u32, edges_per_vertex: u32) -> NetflowGraph {
@@ -26,7 +26,8 @@ fn sample_graph(n: u32, edges_per_vertex: u32) -> NetflowGraph {
 }
 
 fn store_bytes(g: &NetflowGraph, chunk_records: usize) -> Vec<u8> {
-    let mut sink = GraphStoreSink::new(Vec::new()).expect("sink").with_chunk_records(chunk_records);
+    let mut sink = StoreSink::new(StoreWriter::new(Vec::new(), FileKind::Graph).expect("writer"))
+        .with_chunk_records(chunk_records);
     push_graph(&mut sink, g).expect("push");
     sink.finish().expect("seal")
 }

@@ -22,8 +22,7 @@ use csb_net::traffic::campaign::{
 use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
 use csb_net::traffic::topology::TopologyConfig;
 use csb_net::LabeledFlow;
-use csb_store::sink::LabeledFlowSink;
-use csb_store::{Compression, LabeledFlowStoreSink};
+use csb_store::{Compression, FileKind, StoreSink, StoreWriter};
 use proptest::prelude::*;
 
 /// Benign capture + one campaign over the same topology, merged in time
@@ -65,9 +64,9 @@ fn pipeline(stages: &[StageKind], intensity: f64, stealth: f64, seed: u64) -> (T
 }
 
 fn store_bytes(flows: &[LabeledFlow], compression: Compression) -> Vec<u8> {
-    let mut sink =
-        LabeledFlowStoreSink::new_with(Vec::new(), compression).unwrap().with_chunk_records(64);
-    sink.push_labeled(flows).unwrap();
+    let writer = StoreWriter::new_with(Vec::new(), FileKind::Flows, compression.version()).unwrap();
+    let mut sink = StoreSink::new(writer).with_chunk_records(64);
+    sink.push(flows.iter().copied()).unwrap();
     sink.finish().unwrap()
 }
 

@@ -72,16 +72,16 @@ fn netflow_v5_export_preserves_flow_population() {
 #[test]
 fn store_flow_columns_and_netflow_v5_agree_on_the_same_flows() {
     use csb::store::format::{CHUNK_HEADER_LEN, FILE_HEADER_LEN};
-    use csb::store::sink::{FlowSink, FlowStoreSink};
     use csb::store::StoreReader;
+    use csb::store::{FileKind, StoreSink, StoreWriter};
 
     let trace = capture();
     let flows = FlowAssembler::assemble(&trace.packets);
     assert!(!flows.is_empty());
 
     // The store keeps every field: exact round trip.
-    let mut sink = FlowStoreSink::new(Vec::new()).expect("sink");
-    sink.push_flows(&flows).expect("push");
+    let mut sink = StoreSink::new(StoreWriter::new(Vec::new(), FileKind::Flows).expect("writer"));
+    sink.push(flows.iter().copied()).expect("push");
     let store_bytes = sink.finish().expect("finish");
     let stored = StoreReader::new(std::io::Cursor::new(&store_bytes[..]))
         .expect("reader")

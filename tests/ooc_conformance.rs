@@ -6,13 +6,8 @@
 //! rayon thread count — produces *bit-for-bit* the same result as its
 //! in-memory counterpart on the same logical graph, after a round-trip
 //! through the `EdgeSink` store format.
-//!
-//! The deprecated free functions (`veracity`, `veracity_scan_with`) stay
-//! under test here on purpose: they are frozen compatibility wrappers over
-//! `VeracityJob` and must keep returning the exact same bits.
-#![allow(deprecated)]
 
-use csb::gen::{veracity, veracity_scan_with, Metric, VeracityJob, VeracityScores};
+use csb::gen::{Metric, VeracityJob};
 use csb::graph::algo::pagerank::{pagerank, PageRankConfig};
 use csb::graph::algo::{degree_distribution, DegreeDistributions};
 use csb::graph::ooc::{degree_distribution_ooc, pagerank_ooc, GraphScan};
@@ -20,8 +15,8 @@ use csb::graph::{
     AssortativityMetric, ClusteringMetric, Csr, DegreeMetric, EdgeProperties, GraphMetric,
     MmdDegreeMetric, MmdPagerankMetric, NetflowGraph, PagerankMetric, SpectralMetric, VertexId,
 };
-use csb::store::sink::{push_graph, GraphStoreSink};
-use csb::store::{StoreReader, StoreScan};
+use csb::store::sink::{push_graph, StoreSink};
+use csb::store::{FileKind, StoreReader, StoreScan, StoreWriter};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -38,7 +33,8 @@ fn graph_of(n: u32, edges: &[(u32, u32)]) -> NetflowGraph {
 /// Round-trips `g` through the store format at the given chunk size and
 /// returns a scan over the sealed bytes.
 fn store_scan(g: &NetflowGraph, chunk_records: usize) -> StoreScan<Cursor<Vec<u8>>> {
-    let mut sink = GraphStoreSink::new(Vec::new()).expect("sink").with_chunk_records(chunk_records);
+    let mut sink = StoreSink::new(StoreWriter::new(Vec::new(), FileKind::Graph).expect("writer"))
+        .with_chunk_records(chunk_records);
     push_graph(&mut sink, g).expect("push");
     let bytes = sink.finish().expect("seal");
     StoreScan::new(StoreReader::new(Cursor::new(bytes)).expect("reader")).expect("scan")
@@ -126,8 +122,9 @@ proptest! {
         prop_assert_eq!(&inn, &Csr::in_of(&g));
     }
 
-    /// `veracity` scored out-of-core over two store files == in-memory
-    /// `veracity` on the loaded graphs, bitwise, at independent chunk sizes.
+    /// The classic pair (a job's default metrics) scored out-of-core over
+    /// two store files == the same job on the loaded graphs, bitwise, at
+    /// independent chunk sizes.
     #[test]
     fn veracity_scan_conforms(
         (n_a, edges_a, chunk_a) in arb_case(),
@@ -135,17 +132,17 @@ proptest! {
     ) {
         let a = graph_of(n_a, &edges_a);
         let b = graph_of(n_b, &edges_b);
-        let mem: VeracityScores = veracity(&a, &b);
-        let ooc = veracity_scan_with(
-            &mut store_scan(&a, chunk_a),
-            &mut store_scan(&b, chunk_b),
-            &PageRankConfig::default(),
-        )
-        .expect("ooc veracity");
-        prop_assert!((mem.degree - ooc.degree).abs() < 1e-12);
-        prop_assert!((mem.pagerank - ooc.pagerank).abs() < 1e-12);
-        prop_assert_eq!(mem.degree.to_bits(), ooc.degree.to_bits());
-        prop_assert_eq!(mem.pagerank.to_bits(), ooc.pagerank.to_bits());
+        let mem = VeracityJob::new().seed_graph(&a).synthetic_graph(&b).run().expect("in memory");
+        let ooc = VeracityJob::new()
+            .seed_scan(&mut store_scan(&a, chunk_a))
+            .synthetic_scan(&mut store_scan(&b, chunk_b))
+            .run()
+            .expect("ooc veracity");
+        for metric in ["degree", "pagerank"] {
+            let (m, o) = (mem.score(metric).expect("scored"), ooc.score(metric).expect("scored"));
+            prop_assert!((m - o).abs() < 1e-12);
+            prop_assert_eq!(m.to_bits(), o.to_bits(), "{}", metric);
+        }
     }
 
     /// Every Veracity 2.0 metric kernel — clustering, assortativity, the
@@ -166,28 +163,30 @@ proptest! {
 
     /// A `VeracityJob` over two edge scans scores every metric bit-for-bit
     /// identically to the same job over the materialized graphs, at
-    /// independent chunk sizes per side.
+    /// independent chunk sizes per side and any rayon thread count.
     #[test]
     fn veracity_job_conforms_over_scans(
         (n_a, edges_a, chunk_a) in arb_case(),
         (n_b, edges_b, chunk_b) in arb_case(),
+        threads in prop::sample::select(vec![1usize, 4]),
     ) {
         let a = graph_of(n_a, &edges_a);
         let b = graph_of(n_b, &edges_b);
-        let mem = VeracityJob::new()
-            .seed_graph(&a)
-            .synthetic_graph(&b)
-            .metrics(Metric::ALL)
-            .run()
-            .expect("in-memory job");
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+        let mem = pool.install(|| {
+            VeracityJob::new().seed_graph(&a).synthetic_graph(&b).metrics(Metric::ALL).run()
+        })
+        .expect("in-memory job");
         let mut scan_a = store_scan(&a, chunk_a);
         let mut scan_b = store_scan(&b, chunk_b);
-        let ooc = VeracityJob::new()
-            .seed_scan(&mut scan_a)
-            .synthetic_scan(&mut scan_b)
-            .metrics(Metric::ALL)
-            .run()
-            .expect("scan job");
+        let ooc = pool.install(|| {
+            VeracityJob::new()
+                .seed_scan(&mut scan_a)
+                .synthetic_scan(&mut scan_b)
+                .metrics(Metric::ALL)
+                .run()
+        })
+        .expect("scan job");
         prop_assert_eq!(mem.scores.len(), ooc.scores.len());
         for (x, y) in mem.scores.iter().zip(ooc.scores.iter()) {
             prop_assert_eq!(x.metric, y.metric);
@@ -247,17 +246,4 @@ fn mmd_matches_hand_computed_value() {
     // Identical samples are exactly zero, which is why every MMD metric
     // self-scores 0 in the job-level tests.
     assert_eq!(csb::stats::veracity::mmd_rbf(&[1.0, 2.0], &[1.0, 2.0], 0.7), 0.0);
-}
-
-/// The legacy free functions are frozen delegating wrappers: scores from
-/// `veracity`/`veracity_with` must stay bit-identical to a default
-/// `VeracityJob` on the same pair.
-#[test]
-fn legacy_wrappers_delegate_bit_for_bit() {
-    let a = graph_of(12, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (0, 2)]);
-    let b = graph_of(9, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]);
-    let legacy = veracity(&a, &b);
-    let job = VeracityJob::new().seed_graph(&a).synthetic_graph(&b).run().expect("job");
-    assert_eq!(legacy.degree.to_bits(), job.score("degree").expect("degree").to_bits());
-    assert_eq!(legacy.pagerank.to_bits(), job.score("pagerank").expect("pagerank").to_bits());
 }
