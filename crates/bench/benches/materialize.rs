@@ -1,13 +1,13 @@
 //! Criterion benchmark of the parallel edge-materialization path: the
 //! count → prefix-sum → parallel-write scheme plus bulk graph assembly,
-//! against the pre-refactor serial per-edge reference. Feeds the
+//! against the same kernel on one thread. Feeds the
 //! `BENCH_materialize.json` perf trajectory (see `bench_materialize`).
 //!
 //! Scale: the attach comparison runs at ~1M edges by default; `CSB_SCALE`
 //! multiplies every workload.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use csb_bench::{attach_serial_reference, scale, standard_seed_scaled};
+use csb_bench::{scale, standard_seed_scaled, with_pool};
 use csb_core::pgpba::pgpba_topology;
 use csb_core::pgsk::pgsk_topology;
 use csb_core::topo::{attach_properties, Topology};
@@ -37,8 +37,8 @@ fn bench_attach(c: &mut Criterion) {
     group.bench_function("parallel", |b| {
         b.iter(|| attach_properties(&topo, &seed.analysis.properties, &[], 3))
     });
-    group.bench_function("serial_reference", |b| {
-        b.iter(|| attach_serial_reference(&topo, &seed.analysis.properties, 3))
+    group.bench_function("one_thread", |b| {
+        b.iter(|| with_pool(1, || attach_properties(&topo, &seed.analysis.properties, &[], 3)))
     });
     group.finish();
 }

@@ -1,12 +1,10 @@
 //! Timed harness for the parallel-materialization rework: runs both
 //! generators with per-phase timings ([`csb_core::PhaseTimings`]), compares
-//! the parallel attach path against the serial per-edge reference, and
+//! the attach path at the configured pool width against a one-thread pool, and
 //! writes `BENCH_materialize.json` — one point of the perf trajectory per
 //! commit. `CSB_SCALE` multiplies the default ~1M-edge workload.
 
-use csb_bench::{
-    attach_serial_reference, configured_pool_width, eng, scale, standard_seed, with_pool, Table,
-};
+use csb_bench::{configured_pool_width, eng, scale, standard_seed, with_pool, Table};
 use csb_core::pgpba::pgpba_topology;
 use csb_core::topo::{attach_properties, Topology};
 use csb_core::{pgpba_timed, pgsk_timed, PgpbaConfig, PgskConfig, PhaseTimings};
@@ -67,24 +65,22 @@ fn main() {
     timing_row(&mut table, &pgsk_t);
     table.print();
 
-    // Head-to-head: serial per-edge reference vs parallel attach on the same
-    // PGPBA topology.
+    // Head-to-head: the same attach kernel on the same PGPBA topology under a
+    // one-thread pool and under the configured one.
     let topo = pgpba_topology(&Topology::of_graph(&seed.graph), &seed.analysis, &pgpba_cfg);
     let t = Instant::now();
-    // The serial reference is single-threaded by construction; pin it to a
-    // width-1 pool so its recorded width states that.
-    let (serial, serial_threads) =
-        with_pool(1, || attach_serial_reference(&topo, &seed.analysis.properties, 3));
-    let serial_secs = t.elapsed().as_secs_f64();
+    let (w1, w1_threads) =
+        with_pool(1, || attach_properties(&topo, &seed.analysis.properties, &[], 3));
+    let w1_secs = t.elapsed().as_secs_f64();
     let t = Instant::now();
     let (parallel, parallel_threads) =
         with_pool(pool_width, || attach_properties(&topo, &seed.analysis.properties, &[], 3));
     let parallel_secs = t.elapsed().as_secs_f64();
-    assert_eq!(serial.edge_count(), parallel.edge_count());
-    let speedup = serial_secs / parallel_secs.max(1e-9);
+    assert_eq!(w1.edge_count(), parallel.edge_count());
+    let scaling = w1_secs / parallel_secs.max(1e-9);
     println!(
-        "\nattach {} edges: serial {serial_secs:.3}s, parallel {parallel_secs:.3}s \
-         ({speedup:.2}x, {parallel_threads} threads)",
+        "\nattach {} edges: one thread {w1_secs:.3}s, parallel {parallel_secs:.3}s \
+         ({scaling:.2}x, {parallel_threads} threads)",
         eng(topo.edge_count() as f64),
     );
 
@@ -150,7 +146,7 @@ fn main() {
     section_threads
         .u64("pgpba", pgpba_threads as u64)
         .u64("pgsk", pgsk_threads as u64)
-        .u64("attach_serial", serial_threads as u64)
+        .u64("attach_w1", w1_threads as u64)
         .u64("attach_parallel", parallel_threads as u64)
         .u64("store_write", store_threads as u64);
     let mut root = JsonObject::new();
@@ -164,9 +160,9 @@ fn main() {
         .raw("pgpba", &pgpba_t.to_json())
         .raw("pgsk", &pgsk_t.to_json())
         .u64("attach_edges", topo.edge_count() as u64)
-        .f64("attach_serial_secs", serial_secs, 6)
+        .f64("attach_w1_secs", w1_secs, 6)
         .f64("attach_parallel_secs", parallel_secs, 6)
-        .f64("attach_speedup", speedup, 2)
+        .f64("attach_scaling", scaling, 2)
         .u64("store_shards", store_shards as u64)
         .str("store_codec", store_codec.name())
         .u64("store_write_edges", store_edges)

@@ -21,13 +21,18 @@
 //!   "threads":N, "section_threads": { section: N, ... }, "os":S,
 //!   "git_rev":S,
 //!   "pgpba":PhaseTimings, "pgsk":PhaseTimings,
-//!   "attach_edges":N, "attach_serial_secs":F, "attach_parallel_secs":F,
-//!   "attach_speedup":F,
+//!   "attach_edges":N, "attach_w1_secs":F, "attach_parallel_secs":F,
+//!   "attach_scaling":F,
 //!   "store_shards":N, "store_codec":S, "store_write_edges":N,
 //!   "store_write_secs":F, "store_write_edges_per_sec":F,
 //!   "peak_rss_bytes":N, "store_enc_bytes_saved":N,
 //!   "spans": { name: {"count":N, "total_micros":N}, ... } }
 //! ```
+//!
+//! `attach_w1_secs` times `attach_properties` under a one-thread pool and
+//! `attach_scaling` is its ratio to the configured width. (Files from before
+//! PR 16 carry `attach_serial_secs` / `attach_speedup` instead, which timed a
+//! per-edge `add_edge` reference: the two are not comparable.)
 //!
 //! The `store_*` fields time the same attach stream materialized straight
 //! into a sharded columnar-compressed store (one writer worker per shard).
@@ -120,12 +125,7 @@
 
 use csb_core::analysis::SeedAnalysis;
 use csb_core::seed::{seed_from_trace, SeedBundle};
-use csb_core::topo::{Topology, SYNTHETIC_IP_BASE};
-use csb_core::PropertyModel;
-use csb_graph::graph::VertexId;
-use csb_graph::NetflowGraph;
 use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
-use csb_stats::rng::rng_for;
 use std::path::Path;
 
 /// Reads the workload multiplier from `CSB_SCALE` (default 1.0).
@@ -153,7 +153,7 @@ pub fn configured_pool_width() -> usize {
 /// record per section, so the provenance reflects the pool the section ran
 /// under rather than whatever pool happened to be current when the JSON was
 /// assembled.
-pub fn with_pool<T>(width: usize, f: impl FnOnce() -> T) -> (T, usize) {
+pub fn with_pool<T: Send>(width: usize, f: impl FnOnce() -> T + Send) -> (T, usize) {
     let pool =
         rayon::ThreadPoolBuilder::new().num_threads(width.max(1)).build().expect("thread pool");
     let mut observed = 0;
@@ -292,35 +292,6 @@ fn rev_from_git_dir(git: &Path) -> Option<String> {
     None
 }
 
-/// Edges per RNG stream in [`attach_serial_reference`]; matches the parallel
-/// implementation in `csb_core::topo` so both sample identical streams.
-const ATTACH_CHUNK: usize = 8192;
-
-/// The pre-refactor attribute-attachment path: serial per-chunk property
-/// sampling followed by per-edge `add_edge` calls. Kept as the baseline the
-/// `materialize` bench and the `bench_materialize` harness compare
-/// `attach_properties` against; for all-synthetic vertex addresses the
-/// output is bit-identical to the parallel path.
-pub fn attach_serial_reference(topo: &Topology, model: &PropertyModel, seed: u64) -> NetflowGraph {
-    let edge_count = topo.edge_count();
-    let mut g = NetflowGraph::with_capacity(topo.num_vertices as usize, edge_count);
-    for i in 0..topo.num_vertices {
-        g.add_vertex(SYNTHETIC_IP_BASE + i);
-    }
-    let mut props = Vec::with_capacity(edge_count);
-    for chunk_idx in 0..edge_count.div_ceil(ATTACH_CHUNK) {
-        let mut rng = rng_for(seed, 0x9_0000_0000 + chunk_idx as u64);
-        let len = ATTACH_CHUNK.min(edge_count - chunk_idx * ATTACH_CHUNK);
-        for _ in 0..len {
-            props.push(model.sample(&mut rng));
-        }
-    }
-    for ((&s, &d), p) in topo.src.iter().zip(topo.dst.iter()).zip(props) {
-        g.add_edge(VertexId(s), VertexId(d), p);
-    }
-    g
-}
-
 /// A plain-text aligned table writer for harness output.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -401,21 +372,6 @@ mod tests {
         let seed = standard_seed_scaled(0.2);
         assert!(seed.edge_count() > 200, "seed too small: {}", seed.edge_count());
         assert!(seed.graph.vertex_count() > 50);
-    }
-
-    #[test]
-    fn serial_reference_matches_parallel_attach() {
-        let seed = standard_seed_scaled(0.05);
-        let topo = Topology::of_graph(&seed.graph);
-        let serial = attach_serial_reference(&topo, &seed.analysis.properties, 9);
-        let parallel = csb_core::topo::attach_properties(&topo, &seed.analysis.properties, &[], 9);
-        assert_eq!(serial.vertex_data(), parallel.vertex_data());
-        assert_eq!(serial.edge_count(), parallel.edge_count());
-        for (a, b) in serial.edges().zip(parallel.edges()) {
-            assert_eq!(a.1, b.1);
-            assert_eq!(a.2, b.2);
-            assert_eq!(a.3, b.3);
-        }
     }
 
     #[test]

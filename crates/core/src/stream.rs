@@ -1,25 +1,31 @@
 //! Streaming generation: run the generators into an [`EdgeSink`] instead of
 //! materializing a [`NetflowGraph`](csb_graph::NetflowGraph) in memory.
 //!
-//! The attribute-attachment phase replays *exactly* the deterministic
-//! per-chunk RNG streams of [`attach_properties`](crate::topo::
-//! attach_properties) — same [`ATTACH_CHUNK`] granularity, same stream
-//! derivation — so a store-backed run produces the identical edge set to the
-//! in-memory path, just emitted incrementally. That is what lets `csb export
-//! --format store` write a multi-gigabyte graph while holding only the
-//! topology plus one chunk of properties.
+//! The attribute-attachment phase runs the same per-chunk kernel as
+//! [`attach_properties`](crate::topo::attach_properties), so a store-backed
+//! run produces the identical edge set to the in-memory path, just emitted
+//! incrementally: a window of [`WINDOW_CHUNKS`] chunks is sampled on the
+//! pool, then pushed to the sink in index order on the calling thread, and
+//! the next window starts. That is what lets `csb export --format store`
+//! write a multi-gigabyte graph while holding only the topology plus one
+//! window of properties, and sample it at the pool's width.
 
 use crate::analysis::PropertyModel;
 use crate::config::{PgpbaConfig, PgskConfig};
 use crate::seed::SeedBundle;
-use crate::topo::{Topology, ATTACH_CHUNK, SYNTHETIC_IP_BASE};
+use crate::topo::{vertex_ips, AttachKernel, Topology, ATTACH_CHUNK};
 use csb_graph::EdgeProperties;
-use csb_stats::rng::rng_for;
+use csb_store::sink::CHUNK_RECORDS;
 use csb_store::{EdgeSink, StoreError};
+use rayon::prelude::*;
+
+/// Attach chunks sampled ahead of the sink: one store chunk's worth of edges,
+/// whatever the job's size.
+const WINDOW_CHUNKS: usize = CHUNK_RECORDS / ATTACH_CHUNK;
 
 /// Streams the attribute-attachment phase into `sink`: vertices first, then
-/// edges in [`ATTACH_CHUNK`]-sized batches with per-chunk RNG streams
-/// identical to the parallel in-memory path. Returns the edge count.
+/// edges in [`ATTACH_CHUNK`]-sized batches, in order, from the calling
+/// thread. Returns the edge count.
 pub fn attach_properties_to_sink<S: EdgeSink + ?Sized>(
     topo: &Topology,
     model: &PropertyModel,
@@ -28,12 +34,7 @@ pub fn attach_properties_to_sink<S: EdgeSink + ?Sized>(
     sink: &mut S,
 ) -> Result<u64, StoreError> {
     let _attach = csb_obs::span_cat("attach", "gen");
-    let n = topo.num_vertices as usize;
-    let edge_count = topo.edge_count();
-    let seed_n = seed_vertex_ips.len().min(n);
-    let mut ips = seed_vertex_ips[..seed_n].to_vec();
-    ips.extend((0..(n - seed_n) as u32).map(|i| SYNTHETIC_IP_BASE + i));
-    sink.push_vertices(&ips)?;
+    sink.push_vertices(&vertex_ips(topo, seed_vertex_ips))?;
     // Resume fast path: whole ATTACH_CHUNKs already durable in the sink need
     // no regeneration — tell the sink, then replay only from the chunk
     // containing the first non-durable edge (its durable prefix is dropped
@@ -44,16 +45,18 @@ pub fn attach_properties_to_sink<S: EdgeSink + ?Sized>(
         csb_obs::counter_add("resume.chunks_skipped", first_chunk as u64);
         csb_obs::status::note_resume_skip(first_chunk as u64);
     }
-    for chunk_idx in first_chunk..edge_count.div_ceil(ATTACH_CHUNK) {
-        let _chunk = csb_obs::span_cat("attach.chunk", "gen");
-        let mut rng = rng_for(seed, 0x9_0000_0000 + chunk_idx as u64);
-        let start = chunk_idx * ATTACH_CHUNK;
-        let len = ATTACH_CHUNK.min(edge_count - start);
-        let props: Vec<EdgeProperties> = (0..len).map(|_| model.sample(&mut rng)).collect();
-        sink.push_edges(&topo.src[start..start + len], &topo.dst[start..start + len], &props)?;
+    let kernel = AttachKernel::new(topo, model, seed);
+    for window in (first_chunk..kernel.chunks()).step_by(WINDOW_CHUNKS) {
+        let end = (window + WINDOW_CHUNKS).min(kernel.chunks());
+        let sampled: Vec<Vec<EdgeProperties>> =
+            (window..end).into_par_iter().map(|c| kernel.sample(c)).collect();
+        for (chunk_idx, props) in (window..end).zip(&sampled) {
+            let edges = chunk_idx * ATTACH_CHUNK..chunk_idx * ATTACH_CHUNK + props.len();
+            sink.push_edges(&topo.src[edges.clone()], &topo.dst[edges], props)?;
+        }
     }
-    csb_obs::counter_add("attach.edges", edge_count as u64);
-    Ok(edge_count as u64)
+    csb_obs::counter_add("attach.edges", topo.edge_count() as u64);
+    Ok(topo.edge_count() as u64)
 }
 
 /// [`pgpba`](crate::pgpba::pgpba), streamed: grows the topology in memory
@@ -88,6 +91,7 @@ mod tests {
     use crate::pgpba::pgpba;
     use crate::pgsk::pgsk;
     use crate::seed::seed_from_trace;
+    use crate::topo::attach_properties;
     use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
     use csb_store::sink::{save_graph_to, MemoryGraphSink, StoreSink};
     use csb_store::{FileKind, StoreWriter};
@@ -108,6 +112,139 @@ mod tests {
         assert_eq!(a.edge_sources(), b.edge_sources());
         assert_eq!(a.edge_targets(), b.edge_targets());
         assert_eq!(a.edge_data(), b.edge_data());
+    }
+
+    /// A topology of `edges` edges over a handful of vertices.
+    fn ring(edges: usize) -> Topology {
+        Topology {
+            num_vertices: 16,
+            src: (0..edges as u32).map(|i| i % 16).collect(),
+            dst: (0..edges as u32).map(|i| (i * 7 + 1) % 16).collect(),
+        }
+    }
+
+    fn in_pool<T: Send>(width: usize, f: impl FnOnce() -> T + Send) -> T {
+        rayon::ThreadPoolBuilder::new().num_threads(width).build().expect("pool").install(f)
+    }
+
+    /// Records what a driver pushes; optionally claims a durable prefix, and
+    /// fails the push that would start at edge `fail_at`.
+    #[derive(Default)]
+    struct ProbeSink {
+        durable: u64,
+        fail_at: Option<u64>,
+        noted: Vec<u64>,
+        /// First edge and length of every accepted push.
+        pushes: Vec<(u64, usize)>,
+        next_edge: u64,
+        props: Vec<EdgeProperties>,
+    }
+
+    impl EdgeSink for ProbeSink {
+        fn push_vertices(&mut self, _ips: &[u32]) -> Result<(), StoreError> {
+            Ok(())
+        }
+
+        fn push_edges(
+            &mut self,
+            src: &[u32],
+            _dst: &[u32],
+            props: &[EdgeProperties],
+        ) -> Result<(), StoreError> {
+            if self.fail_at == Some(self.next_edge) {
+                return Err(StoreError::Transient(format!("edge {}", self.next_edge)));
+            }
+            self.pushes.push((self.next_edge, src.len()));
+            self.next_edge += src.len() as u64;
+            self.props.extend_from_slice(props);
+            Ok(())
+        }
+
+        fn resume_skip_edges(&self) -> u64 {
+            self.durable
+        }
+
+        fn note_skipped_edges(&mut self, n: u64) {
+            self.noted.push(n);
+            self.next_edge = n;
+        }
+    }
+
+    #[test]
+    fn sink_driver_equals_the_collecting_driver_at_every_size_and_width() {
+        let seed = small_seed();
+        let model = &seed.analysis.properties;
+        let window = WINDOW_CHUNKS * ATTACH_CHUNK;
+        let sizes = [0, 1, ATTACH_CHUNK - 1, ATTACH_CHUNK, window - 1, window + 1, 3 * window + 5];
+        for edges in sizes {
+            let topo = ring(edges);
+            let want = in_pool(1, || attach_properties(&topo, model, &[9, 8], 5));
+            for width in [1, 2, 4] {
+                let got = in_pool(width, || {
+                    let mut sink = MemoryGraphSink::new();
+                    let n = attach_properties_to_sink(&topo, model, &[9, 8], 5, &mut sink);
+                    assert_eq!(n.expect("stream"), edges as u64);
+                    sink.into_graph()
+                });
+                assert_graphs_equal(&want, &got);
+            }
+        }
+    }
+
+    #[test]
+    fn resumed_sink_driver_pushes_the_suffix_the_serial_loop_pushed() {
+        let seed = small_seed();
+        let model = &seed.analysis.properties;
+        let chunks = 2 * WINDOW_CHUNKS + 4;
+        let topo = ring(chunks * ATTACH_CHUNK - 100);
+        let all = attach_properties(&topo, model, &[], 5);
+        // Durable edges landing inside the first window, on the boundary of
+        // the second, inside a chunk of the last, and past the last chunk.
+        let inside = 3 * ATTACH_CHUNK + 17;
+        let boundary = WINDOW_CHUNKS * ATTACH_CHUNK;
+        let last = (chunks - 1) * ATTACH_CHUNK + 1;
+        for durable in [0, 17, inside, boundary, last, topo.edge_count()] {
+            let first_chunk = durable / ATTACH_CHUNK;
+            let from = (first_chunk * ATTACH_CHUNK).min(topo.edge_count());
+            let recorder = csb_obs::Recorder::new();
+            let mut sink = ProbeSink { durable: durable as u64, ..ProbeSink::default() };
+            // Recorder scopes are per thread, and `install` may run the
+            // closure on a pool thread: scope the recorder inside it.
+            in_pool(2, || {
+                let _scope = recorder.install();
+                attach_properties_to_sink(&topo, model, &[], 5, &mut sink)
+            })
+            .expect("stream");
+            // What `for chunk_idx in first_chunk..chunks { push }` did: one
+            // note of the skipped whole chunks, then one push per chunk.
+            let noted: Vec<u64> = (first_chunk > 0).then_some(from as u64).into_iter().collect();
+            assert_eq!(sink.noted, noted, "durable {durable}");
+            let pushes: Vec<(u64, usize)> = (first_chunk..chunks)
+                .map(|c| (c * ATTACH_CHUNK, ATTACH_CHUNK.min(topo.edge_count() - c * ATTACH_CHUNK)))
+                .map(|(start, len)| (start as u64, len))
+                .collect();
+            assert_eq!(sink.pushes, pushes, "durable {durable}");
+            assert_eq!(sink.props, all.edge_data()[from..], "durable {durable}");
+            let skipped = recorder.snapshot_metrics().counter("resume.chunks_skipped");
+            assert_eq!(skipped.unwrap_or(0), first_chunk as u64, "durable {durable}");
+        }
+    }
+
+    #[test]
+    fn sink_error_surfaces_at_the_chunk_that_failed() {
+        let seed = small_seed();
+        let model = &seed.analysis.properties;
+        let topo = ring(2 * WINDOW_CHUNKS * ATTACH_CHUNK);
+        // The first chunk of all, one inside a window, the first of the next.
+        for failing_chunk in [0, WINDOW_CHUNKS - 2, WINDOW_CHUNKS] {
+            let fail_at = (failing_chunk * ATTACH_CHUNK) as u64;
+            let mut sink = ProbeSink { fail_at: Some(fail_at), ..ProbeSink::default() };
+            let err = in_pool(2, || attach_properties_to_sink(&topo, model, &[], 5, &mut sink))
+                .expect_err("the sink's error must surface");
+            assert_eq!(err.to_string(), format!("transient failure: edge {fail_at}"));
+            assert_eq!(sink.pushes.len(), failing_chunk, "every earlier chunk was pushed");
+            assert_eq!(sink.next_edge, fail_at, "and nothing after it");
+        }
     }
 
     #[test]

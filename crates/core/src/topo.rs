@@ -79,22 +79,68 @@ pub(crate) fn edge_windows<'a>(
     windows
 }
 
-/// Number of edges per deterministic RNG stream in [`attach_properties`]
-/// (shared by `stream::attach_properties_to_sink`, which must replay the
-/// exact same RNG stream layout to produce identical edges).
+/// Number of edges per deterministic RNG stream of the attach phase.
 pub(crate) const ATTACH_CHUNK: usize = 8192;
+
+/// Vertex addresses of an attached graph: `seed_vertex_ips` for the first
+/// vertices (the ones inherited from the seed), synthetic addresses for the
+/// rest. Surplus seed IPs (callers passing more addresses than
+/// `topo.num_vertices`, e.g. a compacted Kronecker topology smaller than its
+/// seed) are ignored.
+pub(crate) fn vertex_ips(topo: &Topology, seed_vertex_ips: &[u32]) -> Vec<u32> {
+    let n = topo.num_vertices as usize;
+    let seed_n = seed_vertex_ips.len().min(n);
+    let mut ips = seed_vertex_ips[..seed_n].to_vec();
+    ips.extend((0..(n - seed_n) as u32).map(|i| SYNTHETIC_IP_BASE + i));
+    ips
+}
+
+/// The attach phase's one implementation: the attributes of one
+/// [`ATTACH_CHUNK`] of edges, sampled on that chunk's own RNG stream. The
+/// stream layout, and so the output, is independent of how many threads run
+/// chunks and in what order; [`attach_properties`] and
+/// `stream::attach_properties_to_sink` only differ in where the chunks go.
+pub(crate) struct AttachKernel<'a> {
+    model: &'a PropertyModel,
+    seed: u64,
+    edge_count: usize,
+    /// Rayon pool threads do not inherit the caller's recorder scope, so it
+    /// is captured here and re-installed per chunk — a scoped job's chunk
+    /// spans land on its own recorder, not the global one.
+    recorder: csb_obs::Recorder,
+}
+
+impl<'a> AttachKernel<'a> {
+    pub(crate) fn new(topo: &Topology, model: &'a PropertyModel, seed: u64) -> Self {
+        let recorder = csb_obs::recorder::current();
+        AttachKernel { model, seed, edge_count: topo.edge_count(), recorder }
+    }
+
+    /// Chunks the edges cut into; the last may be short.
+    pub(crate) fn chunks(&self) -> usize {
+        self.edge_count.div_ceil(ATTACH_CHUNK)
+    }
+
+    /// Samples chunk `chunk_idx` under its own span, on whichever thread
+    /// calls, so the trace shows the fan-out per worker.
+    pub(crate) fn sample(&self, chunk_idx: usize) -> Vec<csb_graph::EdgeProperties> {
+        let _scope = self.recorder.install();
+        let _chunk = csb_obs::span_cat("attach.chunk", "gen");
+        let mut rng = rng_for(self.seed, 0x9_0000_0000 + chunk_idx as u64);
+        let len = ATTACH_CHUNK.min(self.edge_count - chunk_idx * ATTACH_CHUNK);
+        (0..len).map(|_| self.model.sample(&mut rng)).collect()
+    }
+}
 
 /// Materializes a [`NetflowGraph`] from a topology by sampling every edge's
 /// attributes from the seed's [`PropertyModel`] — the `O(|E| x |properties|)`
 /// final phase both generators share.
 ///
-/// `seed_vertex_ips` supplies addresses for the first vertices (the ones
-/// inherited from the seed); the rest get synthetic addresses. Surplus seed
-/// IPs (callers passing more addresses than `topo.num_vertices`, e.g. a
-/// compacted Kronecker topology smaller than its seed) are ignored. Property
-/// sampling is parallelized in deterministic per-chunk RNG streams and the
-/// graph is assembled with the bulk [`NetflowGraph::from_parts`] constructor
-/// — no per-edge `add_edge` calls, no index vector.
+/// `seed_vertex_ips` supplies addresses for the first vertices (see
+/// [`vertex_ips`]). Property sampling runs the [`AttachKernel`] over the
+/// pool and the graph is assembled with the bulk
+/// [`NetflowGraph::from_parts`] constructor — no per-edge `add_edge` calls, no
+/// index vector.
 pub fn attach_properties(
     topo: &Topology,
     model: &PropertyModel,
@@ -102,33 +148,13 @@ pub fn attach_properties(
     seed: u64,
 ) -> NetflowGraph {
     let _attach = csb_obs::span_cat("attach", "gen");
-    let n = topo.num_vertices as usize;
-    let edge_count = topo.edge_count();
-    let seed_n = seed_vertex_ips.len().min(n);
-    let mut ips = seed_vertex_ips[..seed_n].to_vec();
-    ips.extend((0..(n - seed_n) as u32).map(|i| SYNTHETIC_IP_BASE + i));
-    // One deterministic RNG stream per fixed-size chunk of edges: the stream
-    // layout (and thus the output) is independent of the worker count. Each
-    // chunk opens its own span on whichever worker thread runs it, so the
-    // trace shows the materialization fan-out per worker. Rayon pool threads
-    // do not inherit the caller's recorder scope, so it is captured here and
-    // re-installed per chunk — a scoped job's chunk spans land on its own
-    // recorder, not the global one.
-    let recorder = csb_obs::recorder::current();
-    let props: Vec<csb_graph::EdgeProperties> = (0..edge_count.div_ceil(ATTACH_CHUNK))
-        .into_par_iter()
-        .flat_map_iter(|chunk_idx| {
-            let _scope = recorder.clone().install();
-            let _chunk = csb_obs::span_cat("attach.chunk", "gen");
-            let mut rng = rng_for(seed, 0x9_0000_0000 + chunk_idx as u64);
-            let len = ATTACH_CHUNK.min(edge_count - chunk_idx * ATTACH_CHUNK);
-            (0..len).map(move |_| model.sample(&mut rng)).collect::<Vec<_>>()
-        })
-        .collect();
+    let kernel = AttachKernel::new(topo, model, seed);
+    let props: Vec<csb_graph::EdgeProperties> =
+        (0..kernel.chunks()).into_par_iter().flat_map_iter(|c| kernel.sample(c)).collect();
     let src: Vec<VertexId> = topo.src.par_iter().map(|&s| VertexId(s)).collect();
     let dst: Vec<VertexId> = topo.dst.par_iter().map(|&d| VertexId(d)).collect();
-    csb_obs::counter_add("attach.edges", edge_count as u64);
-    NetflowGraph::from_parts(ips, src, dst, props)
+    csb_obs::counter_add("attach.edges", topo.edge_count() as u64);
+    NetflowGraph::from_parts(vertex_ips(topo, seed_vertex_ips), src, dst, props)
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! On platforms without procfs the samples simply carry zeros — the sampler
 //! never fails, it just has less to say.
 
+use crate::metrics::{Counter, Gauge};
 use crate::recorder::Recorder;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -75,17 +76,22 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// Spawns the sampling thread at `period` cadence against `recorder`.
+    /// Takes the baseline sample, then spawns the sampling thread at `period`
+    /// cadence against `recorder`. The baseline is in the series before this
+    /// returns, so whatever the caller materializes next counts toward the
+    /// throughput of a later sample instead of racing the thread's first.
     /// Gauges published: `proc.rss_bytes`, `proc.rss_peak_bytes`,
     /// `proc.threads`, `proc.io_read_bytes`, `proc.io_write_bytes`,
     /// `gen.edges_per_sec`.
     pub fn start(recorder: Recorder, period: Duration) -> Sampler {
         crate::span::epoch();
+        let mut probe = Probe::new(&recorder);
+        probe.sample();
         let stop = Arc::new(AtomicBool::new(false));
         let stop_in = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("csb-obs-sampler".into())
-            .spawn(move || run(recorder, period, stop_in))
+            .spawn(move || run(probe, period, stop_in))
             .expect("spawn sampler thread");
         Sampler { stop, handle }
     }
@@ -97,27 +103,44 @@ impl Sampler {
     }
 }
 
-fn run(recorder: Recorder, period: Duration, stop: Arc<AtomicBool>) -> Vec<Sample> {
-    let g_rss = recorder.gauge("proc.rss_bytes");
-    let g_rss_peak = recorder.gauge("proc.rss_peak_bytes");
-    let g_threads = recorder.gauge("proc.threads");
-    let g_rd = recorder.gauge("proc.io_read_bytes");
-    let g_wr = recorder.gauge("proc.io_write_bytes");
-    let g_eps = recorder.gauge("gen.edges_per_sec");
-    let c_store = recorder.counter("store.edge_records_written");
-    let c_attach = recorder.counter("attach.edges");
+/// The handles one sample reads and publishes through, and the series so far.
+struct Probe {
+    g_rss: Arc<Gauge>,
+    g_rss_peak: Arc<Gauge>,
+    g_threads: Arc<Gauge>,
+    g_rd: Arc<Gauge>,
+    g_wr: Arc<Gauge>,
+    g_eps: Arc<Gauge>,
+    c_store: Arc<Counter>,
+    c_attach: Arc<Counter>,
+    series: Vec<Sample>,
+    peak: u64,
+}
 
-    let mut series: Vec<Sample> = Vec::new();
-    let mut peak = 0u64;
-    loop {
-        let stopping = stop.load(Ordering::Relaxed);
+impl Probe {
+    fn new(recorder: &Recorder) -> Probe {
+        Probe {
+            g_rss: recorder.gauge("proc.rss_bytes"),
+            g_rss_peak: recorder.gauge("proc.rss_peak_bytes"),
+            g_threads: recorder.gauge("proc.threads"),
+            g_rd: recorder.gauge("proc.io_read_bytes"),
+            g_wr: recorder.gauge("proc.io_write_bytes"),
+            g_eps: recorder.gauge("gen.edges_per_sec"),
+            c_store: recorder.counter("store.edge_records_written"),
+            c_attach: recorder.counter("attach.edges"),
+            series: Vec::new(),
+            peak: 0,
+        }
+    }
+
+    fn sample(&mut self) {
         let (rss, threads) =
             parse_proc_status(&std::fs::read_to_string("/proc/self/status").unwrap_or_default());
         let (rd, wr) = parse_proc_io(&std::fs::read_to_string("/proc/self/io").unwrap_or_default());
-        let store_records = c_store.get();
-        let edge_records = if store_records > 0 { store_records } else { c_attach.get() };
+        let store_records = self.c_store.get();
+        let edge_records = if store_records > 0 { store_records } else { self.c_attach.get() };
         let at_micros = crate::span::now_micros();
-        let edges_per_sec = match series.last() {
+        let edges_per_sec = match self.series.last() {
             Some(prev) if at_micros > prev.at_micros => {
                 (edge_records.saturating_sub(prev.edge_records)) as f64
                     / ((at_micros - prev.at_micros) as f64 / 1e6)
@@ -133,17 +156,19 @@ fn run(recorder: Recorder, period: Duration, stop: Arc<AtomicBool>) -> Vec<Sampl
             edge_records,
             edges_per_sec,
         };
-        peak = peak.max(sample.rss_bytes);
-        g_rss.set(sample.rss_bytes as i64);
-        g_rss_peak.set(peak as i64);
-        g_threads.set(sample.threads as i64);
-        g_rd.set(sample.io_read_bytes as i64);
-        g_wr.set(sample.io_write_bytes as i64);
-        g_eps.set(sample.edges_per_sec as i64);
-        series.push(sample);
-        if stopping {
-            return series;
-        }
+        self.peak = self.peak.max(sample.rss_bytes);
+        self.g_rss.set(sample.rss_bytes as i64);
+        self.g_rss_peak.set(self.peak as i64);
+        self.g_threads.set(sample.threads as i64);
+        self.g_rd.set(sample.io_read_bytes as i64);
+        self.g_wr.set(sample.io_write_bytes as i64);
+        self.g_eps.set(sample.edges_per_sec as i64);
+        self.series.push(sample);
+    }
+}
+
+fn run(mut probe: Probe, period: Duration, stop: Arc<AtomicBool>) -> Vec<Sample> {
+    loop {
         // Sleep in small slices so stop() returns promptly even at a
         // multi-second cadence.
         let mut slept = Duration::ZERO;
@@ -151,6 +176,11 @@ fn run(recorder: Recorder, period: Duration, stop: Arc<AtomicBool>) -> Vec<Sampl
             let slice = Duration::from_millis(20).min(period - slept);
             std::thread::sleep(slice);
             slept += slice;
+        }
+        let stopping = stop.load(Ordering::Relaxed);
+        probe.sample();
+        if stopping {
+            return probe.series;
         }
     }
 }

@@ -16,11 +16,13 @@
 //!   entries). Low-cardinality columns (protocol, TCP state, ports) collapse
 //!   to a fraction of a byte per record.
 //!
-//! The encoder always measures candidates against `Raw` and keeps the
-//! smallest, so a hostile column (random `DST` endpoints, high-cardinality
-//! ports) never regresses past the v1 size. Decoding is total: every length,
-//! shift, and dictionary index is bounds-checked and malformed input surfaces
-//! as [`CsbError::Corrupt`](crate::error::CsbError), never a panic.
+//! The encoder sizes every candidate first — a sum of varint widths, a
+//! dictionary built through a fixed open-addressed table — and writes only
+//! the smallest, `Raw` included, so a hostile column (random `DST` endpoints,
+//! high-cardinality ports) never regresses past the v1 size and costs one
+//! linear pass to turn down. Decoding is total: every length, shift, and
+//! dictionary index is bounds-checked and malformed input surfaces as
+//! [`CsbError::Corrupt`](crate::error::CsbError), never a panic.
 
 use crate::crc32::crc32;
 use crate::format::{chunk_schema, corrupt, ChunkKind, StoreError};
@@ -149,10 +151,17 @@ fn read_varint(buf: &[u8], pos: &mut usize, at: u64) -> Result<u64, StoreError> 
 /// Reads column values as u64 for codec-side processing (input is a raw
 /// little-endian column of `n` values, `width` bytes each).
 fn raw_values(raw: &[u8], width: usize) -> impl Iterator<Item = u64> + '_ {
-    raw.chunks_exact(width).map(move |c| {
-        let mut v = [0u8; 8];
-        v[..width].copy_from_slice(c);
-        u64::from_le_bytes(v)
+    // The schema's widths are single loads; the rest go through a copy.
+    raw.chunks_exact(width).map(move |c| match *c {
+        [a] => u64::from(a),
+        [a, b] => u64::from(u16::from_le_bytes([a, b])),
+        [a, b, c, d] => u64::from(u32::from_le_bytes([a, b, c, d])),
+        [a, b, c, d, e, f, g, h] => u64::from_le_bytes([a, b, c, d, e, f, g, h]),
+        _ => {
+            let mut v = [0u8; 8];
+            v[..width].copy_from_slice(c);
+            u64::from_le_bytes(v)
+        }
     })
 }
 
@@ -160,21 +169,39 @@ fn push_value(out: &mut Vec<u8>, v: u64, width: usize) {
     out.extend_from_slice(&v.to_le_bytes()[..width]);
 }
 
-fn encode_delta_varint(raw: &[u8], width: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(raw.len() / 2);
-    let mut prev = 0u64;
-    for v in raw_values(raw, width) {
-        // Deltas live in the wrapping u64 domain reinterpreted as i64:
-        // small steps in either direction zigzag to short varints, and
-        // full-width values cannot overflow the subtraction.
-        write_varint(&mut out, zigzag_encode(v.wrapping_sub(prev) as i64));
-        prev = v;
+/// Bytes [`write_varint`] emits for `v`: one per started group of 7 bits.
+const fn varint_len(v: u64) -> usize {
+    (70 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// The zigzag deltas of a column. Deltas live in the wrapping u64 domain
+/// reinterpreted as i64: small steps in either direction zigzag to short
+/// varints, and full-width values cannot overflow the subtraction.
+fn zigzag_deltas(raw: &[u8], width: usize) -> impl Iterator<Item = u64> + '_ {
+    raw_values(raw, width).scan(0u64, |prev, v| {
+        let delta = v.wrapping_sub(*prev) as i64;
+        *prev = v;
+        Some(zigzag_encode(delta))
+    })
+}
+
+/// Length of what [`encode_delta_varint`] appends, without building it.
+fn delta_varint_len(raw: &[u8], width: usize) -> usize {
+    zigzag_deltas(raw, width).map(varint_len).sum()
+}
+
+fn encode_delta_varint(raw: &[u8], width: usize, out: &mut Vec<u8>) {
+    for d in zigzag_deltas(raw, width) {
+        write_varint(out, d);
     }
-    out
 }
 
 fn decode_delta_varint(enc: &[u8], width: usize, n: usize, at: u64) -> Result<Vec<u8>, StoreError> {
     let max = if width == 8 { u64::MAX } else { (1u64 << (8 * width)) - 1 };
+    // A value takes at least one byte, which bounds what is reserved below.
+    if n > enc.len() {
+        return Err(corrupt(at, "delta-varint column shorter than its record count"));
+    }
     let mut out = Vec::with_capacity(n * width);
     let mut pos = 0usize;
     let mut prev = 0u64;
@@ -203,51 +230,88 @@ fn index_bits(len: usize) -> u8 {
     }
 }
 
-/// Dictionary layout: `[dict_len u16][index_bits u8][entries dict_len×width]
-/// [indices ceil(n×bits/8)]`, indices packed little-endian within each byte.
-/// Returns `None` when the column exceeds [`MAX_DICT_ENTRIES`] distinct
-/// values.
-fn encode_dict(raw: &[u8], width: usize) -> Option<Vec<u8>> {
-    let n = raw.len() / width;
-    let mut dict: Vec<u64> = Vec::new();
-    let mut indices: Vec<u16> = Vec::with_capacity(n);
-    for v in raw_values(raw, width) {
-        // Linear scan: the dictionary is small by construction and columns
-        // are dominated by repeats of the first few entries.
-        let idx = match dict.iter().position(|&d| d == v) {
-            Some(i) => i,
-            None => {
-                if dict.len() >= MAX_DICT_ENTRIES {
-                    return None;
+/// Slots of the table [`Dictionary::build`] finds values through: twice
+/// [`MAX_DICT_ENTRIES`], so probe runs stay short at the largest dictionary.
+const DICT_SLOTS: usize = 2 * MAX_DICT_ENTRIES;
+
+/// The home slot of `v`: the top bits of a multiplicative (Fibonacci) hash.
+const fn dict_slot(v: u64) -> usize {
+    (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DICT_SLOTS.trailing_zeros())) as usize
+}
+
+/// A column's distinct values in first-appearance order, and each record's
+/// index into them.
+struct Dictionary {
+    entries: Vec<u64>,
+    indices: Vec<u16>,
+}
+
+impl Dictionary {
+    /// `None` when the column exceeds [`MAX_DICT_ENTRIES`] distinct values, or
+    /// needs so many that its dictionary encoding cannot come out shorter
+    /// than `limit` bytes: found out at the first value that settles either.
+    fn build(raw: &[u8], width: usize, limit: usize) -> Option<Self> {
+        let n = raw.len() / width;
+        let mut entries: Vec<u64> = Vec::new();
+        let mut indices: Vec<u16> = Vec::with_capacity(n);
+        // Open addressing with linear probing; a slot holds an entry's index
+        // plus one, 0 meaning empty. At most half the slots ever fill.
+        let mut slots = [0u16; DICT_SLOTS];
+        for v in raw_values(raw, width) {
+            let mut slot = dict_slot(v);
+            let idx = loop {
+                match slots[slot] {
+                    0 => {
+                        // The encoded length only grows with the entries.
+                        if entries.len() == MAX_DICT_ENTRIES
+                            || Self::encoded_len(entries.len() + 1, n, width) >= limit
+                        {
+                            return None;
+                        }
+                        entries.push(v);
+                        slots[slot] = entries.len() as u16;
+                        break entries.len() - 1;
+                    }
+                    held if entries[held as usize - 1] == v => break held as usize - 1,
+                    _ => slot = (slot + 1) % DICT_SLOTS,
                 }
-                dict.push(v);
-                dict.len() - 1
+            };
+            indices.push(idx as u16);
+        }
+        Some(Dictionary { entries, indices })
+    }
+
+    /// Bytes [`Dictionary::encode`] writes for `n` records over `entries`
+    /// distinct values.
+    fn encoded_len(entries: usize, n: usize, width: usize) -> usize {
+        3 + entries * width + (n * index_bits(entries) as usize).div_ceil(8)
+    }
+
+    /// Dictionary layout: `[dict_len u16][index_bits u8][entries dict_len×width]
+    /// [indices ceil(n×bits/8)]`, indices packed little-endian within each
+    /// byte.
+    fn encode(&self, width: usize, out: &mut Vec<u8>) {
+        let bits = index_bits(self.entries.len());
+        out.extend_from_slice(&(self.entries.len() as u16).to_le_bytes());
+        out.push(bits);
+        for &d in &self.entries {
+            push_value(out, d, width);
+        }
+        let mut acc = 0u32;
+        let mut filled = 0u8;
+        for &i in &self.indices {
+            acc |= u32::from(i) << filled;
+            filled += bits;
+            while filled >= 8 {
+                out.push(acc as u8);
+                acc >>= 8;
+                filled -= 8;
             }
-        };
-        indices.push(idx as u16);
-    }
-    let bits = index_bits(dict.len());
-    let mut out = Vec::with_capacity(3 + dict.len() * width + (n * bits as usize).div_ceil(8));
-    out.extend_from_slice(&(dict.len() as u16).to_le_bytes());
-    out.push(bits);
-    for &d in &dict {
-        push_value(&mut out, d, width);
-    }
-    let mut acc = 0u32;
-    let mut filled = 0u8;
-    for &i in &indices {
-        acc |= u32::from(i) << filled;
-        filled += bits;
-        while filled >= 8 {
+        }
+        if filled > 0 {
             out.push(acc as u8);
-            acc >>= 8;
-            filled -= 8;
         }
     }
-    if filled > 0 {
-        out.push(acc as u8);
-    }
-    Some(out)
 }
 
 fn decode_dict(enc: &[u8], width: usize, n: usize, at: u64) -> Result<Vec<u8>, StoreError> {
@@ -263,8 +327,10 @@ fn decode_dict(enc: &[u8], width: usize, n: usize, at: u64) -> Result<Vec<u8>, S
         return Err(corrupt(at, format!("index width {bits} disagrees with dictionary size")));
     }
     let entries_end = 3 + dict_len * width;
-    let packed_len = (n * bits as usize).div_ceil(8);
-    if enc.len() != entries_end + packed_len {
+    // An index takes at least two bits, so passing this check bounds `n`,
+    // and what is reserved below, by the input's length.
+    let packed_len = n.checked_mul(bits as usize).map(|b| b.div_ceil(8));
+    if Some(enc.len()) != packed_len.and_then(|p| p.checked_add(entries_end)) {
         return Err(corrupt(at, "dictionary column length mismatch"));
     }
     let dict: Vec<u64> = raw_values(&enc[3..entries_end], width).collect();
@@ -291,23 +357,32 @@ fn decode_dict(enc: &[u8], width: usize, n: usize, at: u64) -> Result<Vec<u8>, S
     Ok(out)
 }
 
-/// Encodes one raw column, choosing the smallest of the candidate codecs;
-/// ties (and pathological inputs) keep [`Codec::Raw`], so an encoded column
-/// is never larger than its raw form.
-pub fn encode_column(raw: &[u8], width: usize) -> (Codec, Vec<u8>) {
-    let mut best = (Codec::Raw, raw.to_vec());
-    if width <= 8 {
-        let dv = encode_delta_varint(raw, width);
-        if dv.len() < best.1.len() {
-            best = (Codec::DeltaVarint, dv);
+/// Encodes one raw column (values of 1 to 8 bytes) onto the end of `out`
+/// with the smallest of the candidate codecs. Candidates are sized before any
+/// is built and tried in the order raw, delta-varint, dictionary, a later one
+/// winning only when strictly smaller: ties (and pathological inputs) keep
+/// [`Codec::Raw`], so an encoded column is never larger than its raw form.
+pub fn encode_column(raw: &[u8], width: usize, out: &mut Vec<u8>) -> Codec {
+    let mut best = (Codec::Raw, raw.len());
+    let dv_len = delta_varint_len(raw, width);
+    if dv_len < best.1 {
+        best = (Codec::DeltaVarint, dv_len);
+    }
+    let dict = Dictionary::build(raw, width, best.1);
+    if let Some(dict) = &dict {
+        let len = Dictionary::encoded_len(dict.entries.len(), dict.indices.len(), width);
+        if len < best.1 {
+            best = (Codec::Dict, len);
         }
     }
-    if let Some(d) = encode_dict(raw, width) {
-        if d.len() < best.1.len() {
-            best = (Codec::Dict, d);
-        }
+    let start = out.len();
+    match best.0 {
+        Codec::Raw => out.extend_from_slice(raw),
+        Codec::DeltaVarint => encode_delta_varint(raw, width, out),
+        Codec::Dict => dict.expect("sized above").encode(width, out),
     }
-    best
+    debug_assert_eq!(out.len() - start, best.1, "{:?} was sized wrong", best.0);
+    best.0
 }
 
 /// Decodes one column back to raw little-endian fixed-width bytes.
@@ -320,7 +395,7 @@ pub fn decode_column(
 ) -> Result<Vec<u8>, StoreError> {
     match codec {
         Codec::Raw => {
-            if enc.len() != n * width {
+            if Some(enc.len()) != n.checked_mul(width) {
                 return Err(corrupt(at, "raw column length mismatch"));
             }
             Ok(enc.to_vec())
@@ -348,15 +423,16 @@ pub fn encode_chunk_columns(
     for c in schema {
         let raw = &raw_payload[off..off + n * c.width];
         off += n * c.width;
-        let (codec, enc) = encode_column(raw, c.width);
+        let start = stored.len();
+        let codec = encode_column(raw, c.width, &mut stored);
+        let enc = &stored[start..];
         let counter = match codec {
             Codec::Raw => "store.cols_raw",
             Codec::DeltaVarint => "store.cols_delta",
             Codec::Dict => "store.cols_dict",
         };
         csb_obs::counter_add(counter, 1);
-        columns.push(ColumnCodec { codec, enc_len: enc.len() as u32, crc32: crc32(&enc) });
-        stored.extend_from_slice(&enc);
+        columns.push(ColumnCodec { codec, enc_len: enc.len() as u32, crc32: crc32(enc) });
     }
     csb_obs::counter_add("store.enc_bytes_saved", (raw_payload.len() - stored.len()) as u64);
     (stored, columns)
@@ -377,7 +453,13 @@ pub fn decode_chunk_columns(
             format!("chunk has {} column tags, schema has {}", columns.len(), schema.len()),
         ));
     }
-    let n = records as usize;
+    // The densest codec spends two bits on a value, so no column of `records`
+    // values fits in fewer than a quarter as many bytes: the count is bounded
+    // by the input before anything is reserved for it.
+    let n = usize::try_from(records)
+        .ok()
+        .filter(|n| n.div_ceil(4) <= stored.len())
+        .ok_or_else(|| corrupt(at, "chunk claims more records than its stored bytes can hold"))?;
     let mut raw = Vec::with_capacity(n * kind.record_width());
     let mut off = 0usize;
     for (c, tag) in schema.iter().zip(columns) {
@@ -413,7 +495,9 @@ mod tests {
     fn delta_varint_round_trips_and_compresses_sorted() {
         let vals: Vec<u32> = (0..10_000).map(|i| i * 3).collect();
         let raw = raw_u32(&vals);
-        let enc = encode_delta_varint(&raw, 4);
+        let mut enc = Vec::new();
+        encode_delta_varint(&raw, 4, &mut enc);
+        assert_eq!(enc.len(), delta_varint_len(&raw, 4));
         assert!(enc.len() * 3 < raw.len(), "near-sorted column must shrink");
         assert_eq!(decode_delta_varint(&enc, 4, vals.len(), 0).unwrap(), raw);
     }
@@ -422,15 +506,59 @@ mod tests {
     fn dict_round_trips_low_cardinality() {
         let vals: Vec<u32> = (0..5000).map(|i| [6, 17, 1][i % 3]).collect();
         let raw = raw_u32(&vals);
-        let enc = encode_dict(&raw, 4).expect("3 distinct values");
+        let dict = Dictionary::build(&raw, 4, raw.len()).expect("3 distinct values");
+        assert_eq!(dict.entries, [6, 17, 1], "first-appearance order");
+        let mut enc = Vec::new();
+        dict.encode(4, &mut enc);
+        assert_eq!(enc.len(), Dictionary::encoded_len(3, vals.len(), 4));
         assert!(enc.len() * 10 < raw.len(), "2-bit indices over 3 entries");
         assert_eq!(decode_dict(&enc, 4, vals.len(), 0).unwrap(), raw);
     }
 
     #[test]
     fn dict_refuses_high_cardinality() {
-        let vals: Vec<u32> = (0..(MAX_DICT_ENTRIES as u32 + 1)).collect();
-        assert!(encode_dict(&raw_u32(&vals), 4).is_none());
+        let mut vals: Vec<u32> = (0..MAX_DICT_ENTRIES as u32).collect();
+        let full = Dictionary::build(&raw_u32(&vals), 4, usize::MAX).expect("exactly at the limit");
+        assert_eq!(full.entries.len(), MAX_DICT_ENTRIES);
+        vals.push(MAX_DICT_ENTRIES as u32);
+        assert!(Dictionary::build(&raw_u32(&vals), 4, usize::MAX).is_none());
+    }
+
+    #[test]
+    fn dict_gives_up_once_it_cannot_come_in_under_the_limit() {
+        // 300 distinct u16s: from entry 257 on, an index is as wide as a value.
+        let vals: Vec<u16> = (0..1000).map(|i| i % 300).collect();
+        let raw: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert!(Dictionary::build(&raw, 2, raw.len()).is_none(), "cannot beat raw");
+        let len = Dictionary::encoded_len(300, vals.len(), 2);
+        assert!(Dictionary::build(&raw, 2, len).is_none(), "a tie keeps the earlier codec");
+        let dict = Dictionary::build(&raw, 2, len + 1).expect("strictly smaller");
+        assert_eq!(dict.entries.len(), 300);
+    }
+
+    #[test]
+    fn dict_keeps_colliding_values_apart() {
+        // A full dictionary of values that all share one home slot: the
+        // longest probe run the table can see.
+        let vals: Vec<u64> =
+            (0u64..).filter(|&v| dict_slot(v) == 5).take(MAX_DICT_ENTRIES).collect();
+        let raw: Vec<u8> = vals.iter().chain(&vals).flat_map(|v| v.to_le_bytes()).collect();
+        let dict = Dictionary::build(&raw, 8, usize::MAX).expect("at the limit");
+        assert_eq!(dict.entries, vals);
+        let twice: Vec<u16> =
+            (0..MAX_DICT_ENTRIES as u16).chain(0..MAX_DICT_ENTRIES as u16).collect();
+        assert_eq!(dict.indices, twice);
+    }
+
+    #[test]
+    fn varint_len_matches_write_varint() {
+        for shift in 0..64 {
+            for v in [1u64 << shift, (1u64 << shift) - 1, u64::MAX >> shift] {
+                let mut out = Vec::new();
+                write_varint(&mut out, v);
+                assert_eq!(varint_len(v), out.len(), "{v:#x}");
+            }
+        }
     }
 
     #[test]
@@ -443,7 +571,8 @@ mod tests {
             })
             .collect();
         let raw = raw_u32(&vals);
-        let (codec, enc) = encode_column(&raw, 4);
+        let mut enc = Vec::new();
+        let codec = encode_column(&raw, 4, &mut enc);
         assert!(enc.len() <= raw.len());
         assert_eq!(decode_column(codec, &enc, 4, vals.len(), 0).unwrap(), raw);
     }
@@ -451,7 +580,8 @@ mod tests {
     #[test]
     fn truncated_varint_is_corrupt_not_panic() {
         let raw = raw_u32(&[1, 1000, 5]);
-        let mut enc = encode_delta_varint(&raw, 4);
+        let mut enc = Vec::new();
+        encode_delta_varint(&raw, 4, &mut enc);
         enc.pop();
         let err = decode_delta_varint(&enc, 4, 3, 7).expect_err("truncated");
         assert!(matches!(err, crate::error::CsbError::Corrupt { offset: 7, .. }), "got {err}");

@@ -257,3 +257,93 @@ fn v1_fixtures_are_rewritten_byte_identically() {
     sink.push(load_flows(&path).expect("load flows").iter().copied()).unwrap();
     assert!(sink.finish().unwrap() == std::fs::read(&path).unwrap(), "flow fixture bytes");
 }
+
+/// Records per chunk of the v2 fixture: the smallest round size that lets
+/// one chunk hold more than `MAX_DICT_ENTRIES` distinct values.
+const V2_CHUNK: usize = 4200;
+const V2_VERTICES: u32 = 4500;
+/// Three full edge chunks and no partial tail.
+const V2_EDGES: u64 = 3 * V2_CHUNK as u64;
+
+/// A closed-form scramble (no RNG: the fixture must not depend on `rand`).
+fn mix(x: u64) -> u64 {
+    let z = (x ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    (z ^ (z >> 29)).wrapping_mul(0x94D0_49BB_1331_11EB) ^ (z >> 32)
+}
+
+/// Edge `i` of the v2 fixture. Each column is shaped to put a different
+/// codec decision in front of the encoder, and several change shape from one
+/// chunk to the next (`k`), `j` being the record's index in its chunk.
+fn v2_edge(i: u64) -> (u32, u32, EdgeProperties) {
+    let (k, j) = (i / V2_CHUNK as u64, i % V2_CHUNK as u64);
+    let props = EdgeProperties {
+        // At most 4 distinct values.
+        protocol: Protocol::from_number([6, 17, 1][(mix(i) % 3) as usize]).unwrap(),
+        // 4097 distinct values (one past the dictionary), exactly 4096, 200.
+        src_port: match k {
+            0 => (j * 7919 % 4097 * 15) as u16,
+            1 => (j * 7919 % 4096 * 16 + 3) as u16,
+            _ => (j * 31 % 200) as u16,
+        },
+        // At most 16 distinct values.
+        dst_port: [80, 443, 22, 53, 8080, 25, 110, 143, 3389, 5900, 21, 23, 123]
+            [(mix(i) % 13) as usize],
+        // A sorted u64 column far from zero.
+        duration_ms: (1 << 40) + i * 50,
+        // Full-range u64, then all-equal, then 3 values.
+        out_bytes: match k {
+            0 => mix(i),
+            1 => 1500,
+            _ => [0, u64::MAX, 1 << 33][(j % 3) as usize],
+        },
+        // Sorted, then 1000 scattered wide values, then 256 of them.
+        in_bytes: match k {
+            0 => i * 41,
+            1 => mix(j % 1000),
+            _ => mix(j * 7 % 256),
+        },
+        out_pkts: 7,
+        in_pkts: j / 2,
+        state: TcpConnState::from_code(i % 4).unwrap(),
+    };
+    // Near-sorted sources, scattered targets.
+    ((i / 3) as u32, (mix(i) % V2_VERTICES as u64) as u32, props)
+}
+
+/// Scattered full-range addresses: the random `u32` column.
+fn v2_vertex_ips() -> Vec<u32> {
+    (0..V2_VERTICES as u64).map(|i| mix(i) as u32).collect()
+}
+
+/// The checked-in v2 store was written by the encoder as it stood before it
+/// was made linear-time: re-encoding the same records must give the same
+/// file, byte for byte, and the file must load back to the records.
+#[test]
+fn v2_fixture_is_reproduced_byte_for_byte() {
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/v2-graph.csbstore");
+    let edges: Vec<_> = (0..V2_EDGES).map(v2_edge).collect();
+    let writer =
+        StoreWriter::new_with(Vec::new(), FileKind::Graph, Compression::Columnar.version())
+            .unwrap();
+    let mut sink = StoreSink::new(writer).with_chunk_records(V2_CHUNK);
+    sink.push_vertices(&v2_vertex_ips()).unwrap();
+    sink.push(edges.iter().copied()).unwrap();
+    let bytes = sink.finish().unwrap();
+    assert!(bytes == std::fs::read(&path).expect("read fixture"), "v2 fixture bytes");
+
+    let reader = StoreReader::open(&path).expect("open fixture");
+    assert_eq!(reader.version(), 2);
+    let records: Vec<u64> = reader.chunks().iter().map(|c| c.records).collect();
+    assert_eq!(
+        records,
+        [4200, 4200, 4200, 4200, 300],
+        "three edge chunks between two vertex chunks"
+    );
+    let g = load_graph(&path).expect("load fixture");
+    assert_eq!(g.vertex_data(), v2_vertex_ips());
+    assert_eq!(g.edge_count() as u64, V2_EDGES);
+    for ((_, src, dst, props), want) in g.edges().zip(&edges) {
+        assert_eq!((src.0, dst.0, *props), *want);
+    }
+}
