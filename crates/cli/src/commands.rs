@@ -1128,6 +1128,33 @@ mod tests {
     }
 
     #[test]
+    fn generate_size_zero_is_an_error_not_a_panic() {
+        let dir = std::env::temp_dir().join(format!("csb-cli-size0-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let pcap = dir.join("t.pcap").to_string_lossy().into_owned();
+        let seed_path = dir.join("seed.graph").to_string_lossy().into_owned();
+        run(&args(&["simulate", "--out", &pcap, "--duration", "5", "--rate", "10"]))
+            .expect("simulate");
+        run(&args(&["seed", "--pcap", &pcap, "--out", &seed_path])).expect("seed");
+        for algorithm in ["pgpba", "pgsk"] {
+            let err = run(&args(&[
+                "generate",
+                "--seed-graph",
+                &seed_path,
+                "--algorithm",
+                algorithm,
+                "--size",
+                "0",
+                "--out",
+                "/dev/null",
+            ]))
+            .expect_err("zero size");
+            assert!(err.to_string().contains("desired_size"), "{algorithm}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn typo_flags_are_rejected() {
         let err = run(&args(&["simulate", "--otu", "x"])).expect_err("typo");
         assert!(err.to_string().contains("--otu"));

@@ -115,11 +115,10 @@ COMMANDS:
     serve        Run the generation-as-a-service daemon
                  --spool DIR [--listen ADDR=127.0.0.1:7070] [--workers N=2]
                  [--obs-listen ADDR] [--mem-budget-gb F=4] [--max-queue N=256]
-                 [--calibrate BENCH_materialize.json]
                  (newline-JSON protocol: submit/status/result/cancel/list/
                  shutdown; jobs checkpoint under the spool and resume
-                 byte-identically after a kill; --calibrate feeds the
-                 admission cost model from a stamped materialize bench)
+                 byte-identically after a kill; a job is admitted when its
+                 predicted memory fits --mem-budget-gb)
     submit       Submit a job to a csb-serve daemon
                  [--server ADDR] [--kind generate|veracity]
                  [--priority high|normal|low] [--wait true] [--timeout-secs N]

@@ -2,7 +2,6 @@
 //! `csb submit/jobs/cancel/shutdown` are thin protocol clients.
 
 use crate::args::Args;
-use csb_engine::CostModel;
 use csb_serve::{Algorithm, Client, JobSpec, Priority, ServeConfig, Server};
 use csb_store::CsbError;
 use std::io::Write as _;
@@ -19,28 +18,13 @@ const DEFAULT_ADDR: &str = "127.0.0.1:7070";
 
 /// `csb serve` — run the daemon until a protocol `shutdown`.
 pub fn serve(args: &Args) -> Result<()> {
-    args.expect_only(&[
-        "spool",
-        "listen",
-        "workers",
-        "obs-listen",
-        "mem-budget-gb",
-        "max-queue",
-        "calibrate",
-    ])?;
+    args.expect_only(&["spool", "listen", "workers", "obs-listen", "mem-budget-gb", "max-queue"])?;
     let mut cfg = ServeConfig::new(args.require("spool")?);
     cfg.listen = args.get_or("listen", DEFAULT_ADDR.to_string())?;
     cfg.workers = args.get_or("workers", 2usize)?;
     cfg.obs_listen = args.get("obs-listen").map(str::to_string);
     cfg.mem_budget_gb = args.get_or("mem-budget-gb", 4.0)?;
     cfg.max_queue = args.get_or("max-queue", 256usize)?;
-    if let Some(path) = args.get("calibrate") {
-        cfg.model = CostModel::calibrate_from_bench(path)?;
-        eprintln!(
-            "serve: cost model calibrated from {path} (pgpba {:.0} ns/edge, pgsk {:.0} ns/edge)",
-            cfg.model.pgpba_ns_per_edge, cfg.model.pgsk_ns_per_edge
-        );
-    }
     let server = Server::start(cfg)?;
     // Machine-parseable: CI and scripts read the bound (possibly ephemeral)
     // port from these lines.

@@ -19,16 +19,27 @@ impl PgpbaConfig {
         PgpbaConfig { desired_size, fraction: 0.1, seed: 0xBA }
     }
 
-    /// Validates parameters.
+    /// Checks parameters: `desired_size > 0` and a positive, finite
+    /// `fraction`. The error names the offending field.
+    pub fn check(&self) -> Result<(), String> {
+        if self.desired_size == 0 {
+            return Err("desired_size must be positive".into());
+        }
+        if !(self.fraction > 0.0 && self.fraction.is_finite()) {
+            return Err(format!("fraction must be positive and finite, got {}", self.fraction));
+        }
+        Ok(())
+    }
+
+    /// Asserts [`check`](Self::check); the generator entry points call it on
+    /// configs their caller built.
     ///
     /// # Panics
     /// Panics if `fraction <= 0` or `desired_size == 0`.
     pub fn validate(&self) {
-        assert!(self.desired_size > 0, "desired_size must be positive");
-        assert!(
-            self.fraction > 0.0 && self.fraction.is_finite(),
-            "fraction must be positive and finite"
-        );
+        if let Err(message) = self.check() {
+            panic!("{message}");
+        }
     }
 }
 
@@ -56,13 +67,27 @@ impl PgskConfig {
         }
     }
 
-    /// Validates parameters.
+    /// Checks parameters: `desired_size > 0` and at least one fitting
+    /// iteration. The error names the offending field.
+    pub fn check(&self) -> Result<(), String> {
+        if self.desired_size == 0 {
+            return Err("desired_size must be positive".into());
+        }
+        if self.kronfit_iterations == 0 {
+            return Err("kronfit_iterations must be at least 1".into());
+        }
+        Ok(())
+    }
+
+    /// Asserts [`check`](Self::check); the generator entry points call it on
+    /// configs their caller built.
     ///
     /// # Panics
     /// Panics if `desired_size == 0` or no fitting iterations are requested.
     pub fn validate(&self) {
-        assert!(self.desired_size > 0, "desired_size must be positive");
-        assert!(self.kronfit_iterations > 0, "kronfit needs at least one iteration");
+        if let Err(message) = self.check() {
+            panic!("{message}");
+        }
     }
 }
 

@@ -12,8 +12,8 @@ use csb_graph::NetflowGraph;
 use csb_stats::PowerLaw;
 use std::time::Duration;
 
-/// Per-phase wall-clock timings of one generator run, for the performance
-/// trajectory (`BENCH_*.json`) and the timed harness binaries.
+/// Per-phase wall-clock timings of one generator run, for the repo
+/// benchmark's `core.*` layers and the timed harness binaries.
 ///
 /// Phases mirror the paper's pipeline split: **grow** (topology growth /
 /// Kronecker expansion), **inflate** (PGSK multi-edge re-inflation; zero for
@@ -79,21 +79,6 @@ impl PhaseTimings {
         } else {
             0.0
         }
-    }
-
-    /// Serializes as a JSON object through the shared `csb-obs` writer
-    /// (field names and numeric formatting are part of the
-    /// `BENCH_*.json` schema — see `csb-bench`).
-    pub fn to_json(&self) -> String {
-        let mut o = csb_obs::json::JsonObject::new();
-        o.str("generator", self.generator)
-            .u64("edges", self.edges as u64)
-            .f64("grow_secs", self.grow.as_secs_f64(), 6)
-            .f64("inflate_secs", self.inflate.as_secs_f64(), 6)
-            .f64("attach_secs", self.attach.as_secs_f64(), 6)
-            .f64("total_secs", self.total().as_secs_f64(), 6)
-            .f64("edges_per_sec", self.edges_per_sec(), 1);
-        o.finish()
     }
 }
 
@@ -254,19 +239,13 @@ mod tests {
     }
 
     #[test]
-    fn phase_timings_totals_and_json() {
+    fn phase_timings_totals() {
         let t = PhaseTimings::new("pgsk", 1_000_000)
             .grow(std::time::Duration::from_millis(250))
             .inflate(std::time::Duration::from_millis(150))
             .attach(std::time::Duration::from_millis(100));
         assert_eq!(t.total(), std::time::Duration::from_millis(500));
         assert!((t.edges_per_sec() - 2_000_000.0).abs() < 1.0);
-        let json = t.to_json();
-        csb_obs::json::validate_json(&json).expect("PhaseTimings::to_json must be valid JSON");
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"generator\":\"pgsk\""));
-        assert!(json.contains("\"edges\":1000000"));
-        assert!(json.contains("\"total_secs\":0.500000"));
     }
 
     #[test]

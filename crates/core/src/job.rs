@@ -1,10 +1,8 @@
 //! `GenJob` — the unified entry point for generation runs.
 //!
-//! The generators accumulated eight entry points (`pgpba`, `pgsk`, the
-//! `*_timed` variants, the `*_to_sink` streamers, and the distributed
-//! implementations), each a different combination of the same three
-//! orthogonal choices: *which generator*, *where the output goes*, and *what
-//! extras to record*. `GenJob` makes the combination explicit:
+//! A run is a combination of three orthogonal choices: *which generator*,
+//! *where the output goes*, and *what extras to record*. `GenJob` makes the
+//! combination explicit:
 //!
 //! ```no_run
 //! use csb_core::{GenJob, PgpbaConfig};
@@ -25,8 +23,9 @@
 //! assert!(run.graph.is_none(), "store runs never hold the graph in memory");
 //! ```
 //!
-//! The old free functions remain as thin wrappers and keep compiling, but
-//! new call sites should use `GenJob`.
+//! The in-memory free functions (`pgpba`, `pgsk` and their `*_timed` forms)
+//! are what a memory run calls and stay public; streaming to a sink or a
+//! store goes through `GenJob` only.
 //!
 //! # Checkpointed runs and crash recovery
 //!
@@ -368,20 +367,14 @@ impl<'a, 's> GenJob<'a, 's> {
         }
     }
 
-    /// Runs the job.
-    pub fn run(self) -> Result<GenRun, CsbError> {
-        // The scoped recorder (if any) is current for the whole run; worker
-        // threads spawned below re-install it explicitly.
-        let _scope = self.recorder.clone().map(|r| r.install());
-        let _span = csb_obs::span_cat("genjob.run", "gen");
-        let job_id = self.job_id.clone().unwrap_or_else(|| {
-            format!("{}-{:016x}", self.config.generator_name(), self.config.master_seed())
-        });
-        csb_obs::status::begin_job(
-            &job_id,
-            self.config.generator_name(),
-            self.config.desired_size(),
-        );
+    /// What the generators would assert on and the builder combinations that
+    /// make no sense, as errors: configs arrive from flags and wire requests.
+    fn validate(&self) -> Result<(), CsbError> {
+        match &self.config {
+            GenConfig::Pgpba(cfg) => cfg.check(),
+            GenConfig::Pgsk(cfg) => cfg.check(),
+        }
+        .map_err(CsbError::Config)?;
         if self.ckpt.kill_after_chunks.is_some() && self.ckpt.dir.is_none() {
             return Err(CsbError::Config(
                 "kill_after_chunks requires a checkpoint directory".into(),
@@ -393,6 +386,26 @@ impl<'a, 's> GenJob<'a, 's> {
                 "checkpoint/resume apply only to store-backed runs (use .store(path))".into(),
             ));
         }
+        Ok(())
+    }
+
+    /// Runs the job.
+    pub fn run(self) -> Result<GenRun, CsbError> {
+        // The scoped recorder (if any) is current for the whole run; worker
+        // threads spawned below re-install it explicitly.
+        let _scope = self.recorder.clone().map(|r| r.install());
+        // Before the job is announced: a refused job must not sit on the
+        // status board at `starting`.
+        self.validate()?;
+        let _span = csb_obs::span_cat("genjob.run", "gen");
+        let job_id = self.job_id.clone().unwrap_or_else(|| {
+            format!("{}-{:016x}", self.config.generator_name(), self.config.master_seed())
+        });
+        csb_obs::status::begin_job(
+            &job_id,
+            self.config.generator_name(),
+            self.config.desired_size(),
+        );
         let result = match self.output {
             Output::Memory => self.run_memory(),
             Output::Sink(_) => self.run_sink(),
@@ -648,13 +661,20 @@ mod tests {
     #[test]
     fn sink_run_streams_the_same_graph() {
         let seed = small_seed();
-        let cfg = PgpbaConfig { desired_size: 6000, fraction: 0.5, seed: 42 };
-        let mut sink = MemoryGraphSink::new();
-        let run = GenJob::pgpba(&seed, cfg).sink(&mut sink).run().expect("run");
-        assert!(run.graph.is_none());
-        let streamed = sink.into_graph();
-        assert_eq!(run.edges as usize, streamed.edge_count());
-        assert_graphs_equal(&streamed, &pgpba(&seed, &cfg));
+        let ba_cfg = PgpbaConfig { desired_size: 12_000, fraction: 0.5, seed: 42 };
+        let sk_cfg = PgskConfig { seed: 7, ..PgskConfig::new(2000) };
+        let ba = pgpba(&seed, &ba_cfg);
+        assert!(ba.edge_count() > crate::topo::ATTACH_CHUNK, "must span several RNG chunks");
+        for (config, want) in
+            [(GenConfig::Pgpba(ba_cfg), ba), (GenConfig::Pgsk(sk_cfg), pgsk(&seed, &sk_cfg))]
+        {
+            let mut sink = MemoryGraphSink::new();
+            let run = GenJob::new(&seed, config).sink(&mut sink).run().expect("run");
+            assert!(run.graph.is_none());
+            let streamed = sink.into_graph();
+            assert_eq!(run.edges as usize, streamed.edge_count());
+            assert_graphs_equal(&streamed, &want);
+        }
     }
 
     #[test]
@@ -914,17 +934,39 @@ mod tests {
         assert_ne!(a.config_hash(), d.config_hash());
     }
 
+    /// `job` is refused with a config error before it is announced: its
+    /// recorder's status board never hears of it.
+    fn assert_refused(job: GenJob<'_, '_>, why: &str) {
+        let rec = csb_obs::Recorder::new();
+        let err = job.recorder(rec.clone()).run().expect_err(why);
+        assert!(matches!(err, CsbError::Config(_)), "{why}: got {err}");
+        let board = rec.status().snapshot();
+        assert_eq!(board, csb_obs::status::StatusSnapshot::default(), "{why}");
+    }
+
     #[test]
     fn invalid_combinations_are_config_errors() {
         let seed = small_seed();
         let cfg = PgpbaConfig { desired_size: 1000, fraction: 0.5, seed: 1 };
-        let err = GenJob::pgpba(&seed, cfg).checkpoint("/tmp/nope").run().expect_err("no store");
-        assert!(matches!(err, CsbError::Config(_)), "got {err}");
-        let err = GenJob::pgpba(&seed, cfg)
-            .store("/tmp/nope.csbstore")
-            .kill_after_chunks(1, false)
-            .run()
-            .expect_err("kill hook needs checkpointing");
-        assert!(matches!(err, CsbError::Config(_)), "got {err}");
+        assert_refused(GenJob::pgpba(&seed, cfg).checkpoint("/tmp/nope"), "no store");
+        assert_refused(
+            GenJob::pgpba(&seed, cfg).store("/tmp/nope.csbstore").kill_after_chunks(1, false),
+            "kill hook needs checkpointing",
+        );
+    }
+
+    #[test]
+    fn configs_the_generators_assert_on_are_config_errors() {
+        let seed = small_seed();
+        let pgpba = |desired_size, fraction| {
+            GenJob::pgpba(&seed, PgpbaConfig { desired_size, fraction, seed: 1 })
+        };
+        assert_refused(pgpba(0, 0.5), "zero size");
+        for fraction in [0.0, -0.5, f64::NAN, f64::INFINITY] {
+            assert_refused(pgpba(1000, fraction), &format!("fraction {fraction}"));
+        }
+        assert_refused(GenJob::pgsk(&seed, PgskConfig::new(0)), "zero size");
+        let no_fit = PgskConfig { kronfit_iterations: 0, ..PgskConfig::new(1000) };
+        assert_refused(GenJob::pgsk(&seed, no_fit), "zero KronFit iterations");
     }
 }

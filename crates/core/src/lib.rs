@@ -16,9 +16,10 @@
 //!
 //! Both generators are fronted by [`GenJob`], a single builder covering the
 //! in-memory, timed, distributed, sink-streaming, and checkpointed-store
-//! execution paths (the free functions remain as thin compatibility
-//! wrappers). Checkpointed store runs survive crashes: killed mid-write,
-//! they resume from the last durable barrier to a byte-identical file.
+//! execution paths (the in-memory free functions [`pgpba()`] and [`pgsk()`]
+//! stay public; sink and store output go through the builder only).
+//! Checkpointed store runs survive crashes: killed mid-write, they resume
+//! from the last durable barrier to a byte-identical file.
 //!
 //! Supporting modules: [`seed`] (the Fig. 1 preliminary pipeline: PCAP ->
 //! NetFlow -> property-graph -> analysis), [`analysis`] (degree and
@@ -51,5 +52,5 @@ pub use job::{GenConfig, GenJob, GenRun};
 pub use pgpba::{pgpba, pgpba_timed};
 pub use pgsk::{pgsk, pgsk_timed};
 pub use seed::{seed_from_packets, seed_from_trace, SeedBundle};
-pub use stream::{attach_properties_to_sink, pgpba_to_sink, pgsk_to_sink};
+pub use stream::attach_properties_to_sink;
 pub use veracity::{DynEdgeScan, Metric, MetricScore, VeracityJob, VeracityReport};

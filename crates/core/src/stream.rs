@@ -11,8 +11,6 @@
 //! window of properties, and sample it at the pool's width.
 
 use crate::analysis::PropertyModel;
-use crate::config::{PgpbaConfig, PgskConfig};
-use crate::seed::SeedBundle;
 use crate::topo::{vertex_ips, AttachKernel, Topology, ATTACH_CHUNK};
 use csb_graph::EdgeProperties;
 use csb_store::sink::CHUNK_RECORDS;
@@ -59,42 +57,13 @@ pub fn attach_properties_to_sink<S: EdgeSink + ?Sized>(
     Ok(topo.edge_count() as u64)
 }
 
-/// [`pgpba`](crate::pgpba::pgpba), streamed: grows the topology in memory
-/// (it is a fraction of the final property volume), then streams attributed
-/// edges into `sink`. Returns the edge count.
-///
-/// Compatibility wrapper: prefer
-/// [`GenJob::pgpba(..).sink(..)`](crate::GenJob::sink).
-pub fn pgpba_to_sink<S: EdgeSink>(
-    seed: &SeedBundle,
-    cfg: &PgpbaConfig,
-    sink: &mut S,
-) -> Result<u64, StoreError> {
-    crate::GenJob::pgpba(seed, *cfg).sink(sink).run().map(|run| run.edges)
-}
-
-/// [`pgsk`](crate::pgsk::pgsk), streamed. Returns the edge count.
-///
-/// Compatibility wrapper: prefer
-/// [`GenJob::pgsk(..).sink(..)`](crate::GenJob::sink).
-pub fn pgsk_to_sink<S: EdgeSink>(
-    seed: &SeedBundle,
-    cfg: &PgskConfig,
-    sink: &mut S,
-) -> Result<u64, StoreError> {
-    crate::GenJob::pgsk(seed, *cfg).sink(sink).run().map(|run| run.edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pgpba::pgpba;
-    use crate::pgsk::pgsk;
-    use crate::seed::seed_from_trace;
+    use crate::seed::{seed_from_trace, SeedBundle};
     use crate::topo::attach_properties;
     use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
-    use csb_store::sink::{save_graph_to, MemoryGraphSink, StoreSink};
-    use csb_store::{FileKind, StoreWriter};
+    use csb_store::sink::MemoryGraphSink;
 
     fn small_seed() -> SeedBundle {
         let trace = TrafficSim::new(TrafficSimConfig {
@@ -245,46 +214,5 @@ mod tests {
             assert_eq!(sink.pushes.len(), failing_chunk, "every earlier chunk was pushed");
             assert_eq!(sink.next_edge, fail_at, "and nothing after it");
         }
-    }
-
-    #[test]
-    fn pgpba_to_sink_matches_in_memory_pgpba() {
-        let seed = small_seed();
-        let cfg = PgpbaConfig { desired_size: 12_000, fraction: 0.5, seed: 42 };
-        let g = pgpba(&seed, &cfg);
-        assert!(g.edge_count() > ATTACH_CHUNK, "test must span multiple RNG chunks");
-        let mut sink = MemoryGraphSink::new();
-        let n = pgpba_to_sink(&seed, &cfg, &mut sink).expect("stream");
-        let h = sink.into_graph();
-        assert_eq!(n as usize, g.edge_count());
-        assert_graphs_equal(&g, &h);
-    }
-
-    #[test]
-    fn pgsk_to_sink_matches_in_memory_pgsk() {
-        let seed = small_seed();
-        let cfg = PgskConfig { seed: 7, ..PgskConfig::new(2000) };
-        let g = pgsk(&seed, &cfg);
-        let mut sink = MemoryGraphSink::new();
-        let n = pgsk_to_sink(&seed, &cfg, &mut sink).expect("stream");
-        let h = sink.into_graph();
-        assert_eq!(n as usize, g.edge_count());
-        assert_graphs_equal(&g, &h);
-    }
-
-    #[test]
-    fn store_sink_run_is_byte_identical_to_saving_the_in_memory_graph() {
-        // The acceptance bar: a fixed-seed PGPBA run streamed straight into
-        // a store sink produces the byte-identical file to generating in
-        // memory and saving afterwards.
-        let seed = small_seed();
-        let cfg =
-            PgpbaConfig { desired_size: seed.edge_count() as u64 * 4, fraction: 0.5, seed: 42 };
-        let via_memory = save_graph_to(Vec::new(), &pgpba(&seed, &cfg)).expect("save");
-        let mut sink =
-            StoreSink::new(StoreWriter::new(Vec::new(), FileKind::Graph).expect("writer"));
-        pgpba_to_sink(&seed, &cfg, &mut sink).expect("stream");
-        let via_stream = sink.finish().expect("finish");
-        assert_eq!(via_memory, via_stream, "store bytes must not depend on the generation path");
     }
 }

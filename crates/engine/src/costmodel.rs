@@ -16,8 +16,9 @@
 //!   with the node count, which is what pulls its strong-scaling curve below
 //!   PGPBA's near-ideal one (paper Fig. 12).
 //!
-//! `CostModel::calibrate_from_measurement` lets a harness rescale the compute
-//! constants from a measured in-process run instead.
+//! `csb-serve` admits and places jobs on the memory constants only
+//! (`memory_bytes_per_edge`); the compute constants feed the cluster
+//! simulation and a served job's informational `predicted_secs`.
 
 /// Per-record and per-platform cost constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,76 +63,6 @@ impl Default for CostModel {
     }
 }
 
-impl CostModel {
-    /// Rescales the compute constants so that PGPBA's per-edge cost matches a
-    /// measured value, preserving the PGSK/property ratios (5/3 and 1/2 of
-    /// PGPBA respectively, the ratios implied by the paper's Figs. 9-10).
-    pub fn calibrate_from_measurement(pgpba_ns_per_edge: f64) -> Self {
-        assert!(
-            pgpba_ns_per_edge.is_finite() && pgpba_ns_per_edge > 0.0,
-            "measured cost must be positive"
-        );
-        CostModel {
-            pgpba_ns_per_edge,
-            pgsk_ns_per_edge: pgpba_ns_per_edge * 5.0 / 3.0,
-            property_ns_per_edge: pgpba_ns_per_edge * 0.5,
-            ..Self::default()
-        }
-    }
-
-    /// Calibrates all three compute constants from the stamped numbers in a
-    /// `BENCH_materialize.json` file (see `crates/bench` for the schema):
-    /// per-edge generation cost from each generator's `grow_secs +
-    /// inflate_secs` over its `edges`, and the shared property cost from
-    /// PGPBA's `attach_secs`. Platform constants (memory, barriers, job
-    /// overhead) keep their defaults — the bench is single-node and says
-    /// nothing about them. Admission control fed from this model predicts
-    /// with *measured* throughput instead of the paper's Spark-shaped
-    /// defaults.
-    pub fn calibrate_from_bench(
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<Self, csb_store::CsbError> {
-        let text = std::fs::read_to_string(path.as_ref())?;
-        let v = csb_obs::json::parse_json(&text).map_err(|e| {
-            csb_store::CsbError::Input(format!(
-                "{} is not valid JSON: {e}",
-                path.as_ref().display()
-            ))
-        })?;
-        let section_ns_per_edge =
-            |section: &str, field: &str| -> Result<f64, csb_store::CsbError> {
-                let missing = |what: &str| {
-                    csb_store::CsbError::Input(format!(
-                        "{}: missing or non-numeric {what}",
-                        path.as_ref().display()
-                    ))
-                };
-                let s = v.get(section).ok_or_else(|| missing(section))?;
-                let edges = s
-                    .get("edges")
-                    .and_then(csb_obs::json::JsonValue::as_f64)
-                    .ok_or_else(|| missing(&format!("{section}.edges")))?;
-                if edges <= 0.0 {
-                    return Err(missing(&format!("{section}.edges (must be positive)")));
-                }
-                let mut secs = 0.0;
-                for f in field.split('+') {
-                    secs += s
-                        .get(f)
-                        .and_then(csb_obs::json::JsonValue::as_f64)
-                        .ok_or_else(|| missing(&format!("{section}.{f}")))?;
-                }
-                Ok((secs * 1e9 / edges).max(1.0))
-            };
-        Ok(CostModel {
-            pgpba_ns_per_edge: section_ns_per_edge("pgpba", "grow_secs+inflate_secs")?,
-            pgsk_ns_per_edge: section_ns_per_edge("pgsk", "grow_secs+inflate_secs")?,
-            property_ns_per_edge: section_ns_per_edge("pgpba", "attach_secs")?,
-            ..Self::default()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,73 +82,6 @@ mod tests {
         let cores = 60.0 * 12.0;
         let secs = 2e10 * (m.pgpba_ns_per_edge + m.property_ns_per_edge) / 1e9 / cores;
         assert!(secs < 3600.0, "PGPBA 2e10 edges took {secs} s");
-    }
-
-    #[test]
-    fn calibration_preserves_ratios() {
-        let m = CostModel::calibrate_from_measurement(120.0);
-        assert_eq!(m.pgpba_ns_per_edge, 120.0);
-        assert!((m.pgsk_ns_per_edge - 200.0).abs() < 1e-9);
-        assert!((m.property_ns_per_edge - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn bad_calibration_panics() {
-        let _ = CostModel::calibrate_from_measurement(-1.0);
-    }
-
-    #[test]
-    fn calibrate_from_bench_uses_stamped_numbers() {
-        let dir = std::env::temp_dir().join(format!("csb-costmodel-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_materialize.json");
-        // 1e6 edges in 0.05 s grow → 50 ns/edge; attach 0.1 s → 100 ns/edge.
-        std::fs::write(
-            &path,
-            "{\"bench\":\"materialize\",\
-             \"pgpba\":{\"edges\":1000000,\"grow_secs\":0.04,\"inflate_secs\":0.01,\
-             \"attach_secs\":0.1},\
-             \"pgsk\":{\"edges\":2000000,\"grow_secs\":0.15,\"inflate_secs\":0.05,\
-             \"attach_secs\":0.2}}",
-        )
-        .unwrap();
-        let m = CostModel::calibrate_from_bench(&path).expect("must calibrate");
-        assert!((m.pgpba_ns_per_edge - 50.0).abs() < 1e-6, "{}", m.pgpba_ns_per_edge);
-        assert!((m.pgsk_ns_per_edge - 100.0).abs() < 1e-6, "{}", m.pgsk_ns_per_edge);
-        assert!((m.property_ns_per_edge - 100.0).abs() < 1e-6, "{}", m.property_ns_per_edge);
-        // Platform constants stay at their defaults.
-        assert_eq!(m.memory_bytes_per_edge, CostModel::default().memory_bytes_per_edge);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn calibrate_from_bench_rejects_bad_files() {
-        let dir = std::env::temp_dir().join(format!("csb-costmodel-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let missing = dir.join("nope.json");
-        assert!(CostModel::calibrate_from_bench(&missing).is_err(), "missing file must error");
-        let garbage = dir.join("garbage.json");
-        std::fs::write(&garbage, "not json at all").unwrap();
-        assert!(CostModel::calibrate_from_bench(&garbage).is_err(), "garbage must error");
-        let incomplete = dir.join("incomplete.json");
-        std::fs::write(&incomplete, "{\"pgpba\":{\"edges\":0}}").unwrap();
-        assert!(CostModel::calibrate_from_bench(&incomplete).is_err(), "zero edges must error");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn calibrate_from_bench_reads_the_checked_in_file() {
-        // The repo root's stamped BENCH_materialize.json must stay parseable.
-        let path =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_materialize.json");
-        if !path.is_file() {
-            return;
-        }
-        let m = CostModel::calibrate_from_bench(&path).expect("stamped bench must calibrate");
-        assert!(m.pgpba_ns_per_edge >= 1.0);
-        assert!(m.pgsk_ns_per_edge >= 1.0);
-        assert!(m.property_ns_per_edge >= 1.0);
     }
 
     #[test]

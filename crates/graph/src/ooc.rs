@@ -299,7 +299,7 @@ fn scatter_batch(next: &mut [f64], rank: &[f64], out_deg: &[u64], src: &[u32], d
 }
 
 /// Raises the `ooc.peak_scratch_bytes` gauge to `bytes` if it is below —
-/// the bound the veracity bench asserts stays O(vertices + chunk).
+/// the bound `tests/ooc_conformance.rs` asserts stays O(vertices + chunk).
 pub(crate) fn note_peak_scratch(bytes: u64) {
     if !csb_obs::enabled() {
         return;

@@ -3,7 +3,7 @@
 //! actually read/written through syscalls), derives an edge-throughput
 //! gauge from store-counter deltas, publishes everything as gauges on a
 //! recorder, and keeps the raw timestamped series for post-run analysis
-//! (the bench binaries stamp the peaks into their BENCH_*.json).
+//! (`csb generate` logs the peak RSS from it).
 //!
 //! On platforms without procfs the samples simply carry zeros — the sampler
 //! never fails, it just has less to say.

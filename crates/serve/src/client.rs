@@ -1,7 +1,7 @@
 //! A blocking protocol client, shared by the `csb submit/jobs/cancel`
-//! subcommands and `bench_serve`. One [`Client`] wraps one TCP connection;
-//! every method is a single request/reply round trip (RESULT long-polls
-//! server-side).
+//! subcommands and the repo benchmark's `serve_mixed` workload. One
+//! [`Client`] wraps one TCP connection; every method is a single
+//! request/reply round trip (RESULT long-polls server-side).
 
 use crate::proto::{ok_reply, JobSpec, Priority};
 use csb_obs::json::{parse_json, JsonValue};

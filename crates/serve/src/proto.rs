@@ -268,6 +268,10 @@ pub fn parse_submit(v: &JsonValue) -> Result<(JobSpec, Priority), String> {
             if size == 0 {
                 return Err("field `size` must be a positive edge count".into());
             }
+            let fraction = f64_field_or(v, "fraction", 0.1)?;
+            if !(fraction > 0.0 && fraction.is_finite()) {
+                return Err("field `fraction` must be a positive finite number".into());
+            }
             let columnar = match v.get("codec").and_then(JsonValue::as_str) {
                 None | Some("raw") => false,
                 Some("columnar") => true,
@@ -284,7 +288,7 @@ pub fn parse_submit(v: &JsonValue) -> Result<(JobSpec, Priority), String> {
                 algorithm,
                 seed_graph: PathBuf::from(str_field(v, "seed_graph")?),
                 size,
-                fraction: f64_field_or(v, "fraction", 0.1)?,
+                fraction,
                 seed: u64_field_or(v, "seed", 1)?,
                 shards: u64_field_or(v, "shards", 0)? as usize,
                 columnar,
@@ -411,6 +415,10 @@ mod tests {
              \"seed_graph\":\"s\",\"size\":10}",
             "{\"cmd\":\"submit\",\"kind\":\"generate\",\"algorithm\":\"pgpba\",\
              \"seed_graph\":\"s\",\"size\":0}",
+            "{\"cmd\":\"submit\",\"kind\":\"generate\",\"algorithm\":\"pgpba\",\
+             \"seed_graph\":\"s\",\"size\":10,\"fraction\":0}",
+            "{\"cmd\":\"submit\",\"kind\":\"generate\",\"algorithm\":\"pgpba\",\
+             \"seed_graph\":\"s\",\"size\":10,\"fraction\":-0.5}",
             "{\"cmd\":\"status\"}",
             "{\"cmd\":\"submit\",\"kind\":\"generate\",\"algorithm\":\"pgpba\",\
              \"seed_graph\":\"s\",\"size\":10,\"priority\":\"urgent\"}",

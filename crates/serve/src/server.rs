@@ -54,8 +54,8 @@ pub struct ServeConfig {
     pub mem_budget_gb: f64,
     /// Bounded queue length.
     pub max_queue: usize,
-    /// Cost model driving admission and placement (see
-    /// [`CostModel::calibrate_from_bench`]).
+    /// Cost model: its memory constants drive admission and placement, its
+    /// compute constants a job's informational `predicted_secs`.
     pub model: CostModel,
 }
 
@@ -220,7 +220,7 @@ impl Server {
         &self.shared.spool
     }
 
-    /// Direct scheduler access (tests and the in-process bench).
+    /// Direct scheduler access (tests and the repo benchmark).
     pub fn scheduler(&self) -> &Scheduler {
         &self.shared.sched
     }

@@ -115,6 +115,20 @@ fn hostile_input_never_wedges_the_daemon() {
         assert!(reply.contains("\"pong\":true"), "{reply}");
     }
 
+    // A well-formed submit whose config the generator rejects: an error
+    // reply at the door, and the job below still finds the single worker.
+    {
+        let mut s = TcpStream::connect(addr).expect("connect");
+        let line = format!(
+            "{{\"cmd\":\"submit\",\"kind\":\"generate\",\"algorithm\":\"pgpba\",\
+             \"seed_graph\":\"{}\",\"size\":4000,\"fraction\":0}}\n",
+            seed.display()
+        );
+        s.write_all(line.as_bytes()).unwrap();
+        let reply = read_reply(&mut s);
+        assert!(reply.contains("\"ok\":false") && reply.contains("fraction"), "{reply}");
+    }
+
     // After all that abuse a real job still runs to completion.
     let mut client = Client::connect(addr).expect("client connect");
     assert_eq!(client.ping().expect("ping"), u64::from(csb_serve::PROTO_VERSION));

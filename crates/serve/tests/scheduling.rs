@@ -1,12 +1,16 @@
 //! End-to-end scheduling semantics through the wire protocol: admission
-//! rejection under a zero budget, FIFO within a class, preempt-and-resume
-//! byte-identity, and kill-the-daemon-and-restart recovery.
+//! rejection under a zero budget, FIFO within a class, exactly-once
+//! accounting under a client fleet far wider than the worker pool,
+//! preempt-and-resume byte-identity, and kill-the-daemon-and-restart
+//! recovery.
 
 use csb_core::analysis::SeedAnalysis;
 use csb_core::{GenJob, PgpbaConfig, SeedBundle};
 use csb_graph::io::read_graph;
 use csb_serve::{Algorithm, Client, JobSpec, Priority, ServeConfig, Server, ShutdownMode};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -136,6 +140,69 @@ fn fifo_within_a_class_on_one_worker() {
     }
     assert!(seqs.windows(2).all(|w| w[0] < w[1]), "completion order {seqs:?} is not FIFO");
     client.shutdown(true).expect("shutdown");
+    server.wait();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// Clients far outnumber workers (12 connections, 2 slots): every submitted
+/// job is accounted for exactly once — none rejected, lost or failed, no job
+/// id and no completion sequence number handed out twice — and the burst
+/// really did queue.
+#[test]
+fn a_fleet_wider_than_the_workers_completes_every_job_exactly_once() {
+    const CLIENTS: usize = 12;
+    const JOBS_PER_CLIENT: usize = 2;
+    let root = temp_dir("fleet");
+    let seed = root.join("seed.graph");
+    write_seed_graph(&seed);
+    let mut cfg = ServeConfig::new(root.join("spool"));
+    cfg.workers = 2;
+    // The queue holds the whole burst: rejection is load shedding, and the
+    // contract here is zero lost jobs.
+    cfg.max_queue = CLIENTS * JOBS_PER_CLIENT;
+    let server = Server::start(cfg).expect("start");
+    let addr = server.addr();
+
+    // Every client connects, then all submit at once; each submits both jobs
+    // before waiting on either and reads the queue depth in between.
+    let start = std::sync::Barrier::new(CLIENTS);
+    let max_depth = AtomicUsize::new(0);
+    let replies: Vec<_> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let (seed, start, server, max_depth) = (&seed, &start, &server, &max_depth);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    start.wait();
+                    let ids: Vec<String> = (0..JOBS_PER_CLIENT)
+                        .map(|j| {
+                            let spec = gen_spec(seed, 2000, (c * 1000 + j + 1) as u64, 512);
+                            client.submit(&spec, Priority::Normal).expect("nothing rejected")
+                        })
+                        .collect();
+                    max_depth.fetch_max(server.scheduler().snapshot().1, Ordering::Relaxed);
+                    let wait = Duration::from_secs(300);
+                    ids.iter()
+                        .map(|id| client.result_wait(id, wait).expect("reaches a terminal state"))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients.into_iter().flat_map(|h| h.join().expect("client thread")).collect()
+    });
+
+    assert!(max_depth.load(Ordering::Relaxed) > 0, "24 jobs on 2 workers never queued");
+    assert_eq!(replies.len(), CLIENTS * JOBS_PER_CLIENT, "every submission accounted for");
+    let (mut ids, mut seqs) = (HashSet::new(), HashSet::new());
+    for v in &replies {
+        assert_eq!(v.get("state").and_then(|s| s.as_str()), Some("done"), "{v:?}");
+        let id = v.get("job").and_then(|s| s.as_str()).expect("job id");
+        assert!(ids.insert(id.to_string()), "job id {id} handed out twice");
+        let seq = v.get("done_seq").and_then(|s| s.as_u64()).expect("done_seq");
+        assert!(seqs.insert(seq), "done_seq {seq} seen twice");
+    }
+
+    Client::connect(addr).expect("connect").shutdown(true).expect("drain");
     server.wait();
     std::fs::remove_dir_all(&root).ok();
 }

@@ -2,8 +2,8 @@
 //!
 //! The old `StoreScan` projected SRC and DST through two separate
 //! `read_column` calls, so every edge chunk cost *two* `store.read_chunk`
-//! spans (and two payload reads) per pass — BENCH_veracity.json showed ~165
-//! spans per chunk-pass where ~20 chunks existed. These tests pin the fixed
+//! spans (and two payload reads) per pass — a traced veracity run showed
+//! ~165 spans per chunk-pass where ~20 chunks existed. These tests pin the
 //! contract: one chunk read per chunk per pass when streaming, and zero
 //! re-reads once the encoded-block cache holds the store.
 

@@ -15,8 +15,10 @@ use csb::graph::{
     AssortativityMetric, ClusteringMetric, Csr, DegreeMetric, EdgeProperties, GraphMetric,
     MmdDegreeMetric, MmdPagerankMetric, NetflowGraph, PagerankMetric, SpectralMetric, VertexId,
 };
-use csb::store::sink::{push_graph, StoreSink};
-use csb::store::{FileKind, StoreReader, StoreScan, StoreWriter};
+use csb::store::sink::{push_graph, StoreSink, CHUNK_RECORDS};
+use csb::store::{
+    save_graph, save_graph_sharded, Compression, FileKind, StoreReader, StoreScan, StoreWriter,
+};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -196,6 +198,53 @@ proptest! {
             );
         }
     }
+}
+
+/// The scratch contract of the streaming distribution kernels (DESIGN.md,
+/// "Out-of-core analytics"): degree + PageRank scored over store files hold
+/// O(vertices + chunk) bytes however many edges stream past, and score
+/// bit-identically to the in-memory run. The seed is a v1 single file and
+/// the synthetic graph a 4-shard columnar set spanning several chunks, so
+/// both read paths are under the bound.
+#[test]
+fn distribution_kernels_stay_within_the_scratch_bound_over_stores() {
+    // Endpoints scattered by multiplicative hashing; `graph_of` reduces them.
+    let scattered = |edges: usize| -> Vec<(u32, u32)> {
+        (0..edges as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 7, i.wrapping_mul(40_503) >> 3))
+            .collect()
+    };
+    let seed = graph_of(200, &scattered(2_000));
+    let synth = graph_of(3_000, &scattered(CHUNK_RECORDS + 5_000));
+
+    let dir = std::env::temp_dir().join(format!("csb-ooc-scratch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (seed_store, synth_store) = (dir.join("seed.csbstore"), dir.join("synth.csbshards"));
+    save_graph(&seed_store, &seed).expect("save seed store");
+    save_graph_sharded(&synth_store, &synth, 4, Compression::Columnar).expect("save shard set");
+
+    let mem =
+        VeracityJob::new().seed_graph(&seed).synthetic_graph(&synth).run().expect("in memory");
+    let rec = csb::obs::Recorder::new();
+    let ooc = VeracityJob::new()
+        .seed_store(&seed_store)
+        .synthetic_store(&synth_store)
+        .recorder(rec.clone())
+        .run()
+        .expect("out of core");
+    for metric in ["degree", "pagerank"] {
+        let (m, o) = (mem.score(metric).expect("scored"), ooc.score(metric).expect("scored"));
+        assert_eq!(m.to_bits(), o.to_bits(), "{metric}: {m:e} vs {o:e}");
+    }
+
+    // Three f64/u64 vectors over the larger vertex set plus the scan's
+    // per-chunk column buffers, with 2x headroom.
+    let peak = rec.snapshot_metrics().gauge("ooc.peak_scratch_bytes").unwrap_or(0);
+    let max_vertices = seed.vertex_count().max(synth.vertex_count()) as i64;
+    let bound = 2 * (24 * max_vertices + 24 * CHUNK_RECORDS as i64);
+    assert!(peak > 0, "the kernels never reported scratch");
+    assert!(peak <= bound, "peak scratch {peak} B exceeds the O(V + chunk) bound {bound} B");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Boundary batchings the proptest strategy rarely lands on exactly:
