@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks of the generators themselves: topology
 //! growth, attribute generation, and the end-to-end paths — the local
-//! counterparts of the paper's Figures 9-10, plus the data used to
-//! calibrate `csb_engine::CostModel` from real per-edge costs.
+//! counterparts of the paper's Figures 9-10.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use csb_bench::standard_seed_scaled;

@@ -55,9 +55,7 @@ fn load_graph(path: &str) -> Result<NetflowGraph> {
 }
 
 fn load_seed(path: &str) -> Result<SeedBundle> {
-    let graph = load_graph(path)?;
-    let analysis = csb_core::analysis::SeedAnalysis::of(&graph);
-    Ok(SeedBundle { graph, analysis })
+    SeedBundle::from_graph(load_graph(path)?)
 }
 
 fn simulate(args: &Args) -> Result<()> {
@@ -803,6 +801,30 @@ mod tests {
     fn unknown_command_is_an_error() {
         let err = run(&args(&["frobnicate"])).expect_err("unknown");
         assert!(err.to_string().contains("frobnicate"));
+    }
+
+    #[test]
+    fn edgeless_seed_graph_is_an_error_not_a_panic() {
+        let dir = std::env::temp_dir().join(format!("csb-cli-edgeless-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let seed_path = dir.join("seed.graph").to_string_lossy().into_owned();
+        let out = dir.join("synth.graph").to_string_lossy().into_owned();
+        std::fs::write(&seed_path, "# csb-graph v1\nv\t0\t167772161\nv\t1\t167772162\n")
+            .expect("write seed");
+        let err = run(&args(&[
+            "generate",
+            "--seed-graph",
+            &seed_path,
+            "--algorithm",
+            "pgsk",
+            "--size",
+            "100",
+            "--out",
+            &out,
+        ]))
+        .expect_err("a seed without edges cannot be grown");
+        assert!(err.to_string().contains("no edges"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

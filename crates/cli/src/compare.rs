@@ -106,6 +106,8 @@ pub(crate) fn compare_cmd(args: &Args) -> Result<()> {
         (None, Some(path)) => (path.to_string(), csb_store::load_graph(path)?),
         _ => return Err(arg_err("compare needs exactly one of --seed-graph / --seed-store")),
     };
+    // Before any model runs: an edge-less seed is refused here.
+    let bundle = SeedBundle::from_graph(seed_graph.clone())?;
     let seed_degrees: Vec<u64> = seed_graph
         .in_degrees()
         .iter()
@@ -156,8 +158,6 @@ pub(crate) fn compare_cmd(args: &Args) -> Result<()> {
     }
 
     // The paper's seed-driven generators, grown from the same seed graph.
-    let analysis = csb_core::analysis::SeedAnalysis::of(&seed_graph);
-    let bundle = SeedBundle { graph: seed_graph.clone(), analysis };
     let t = Instant::now();
     let ba = pgpba(
         &bundle,

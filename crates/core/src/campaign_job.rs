@@ -28,12 +28,14 @@ use csb_net::traffic::campaign::{
     assemble_labeled, Campaign, CampaignConfig, CampaignRun, LabeledFlow,
 };
 use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
-use csb_store::{save_labeled_flows, save_labeled_flows_sharded, Compression, CsbError};
+use csb_store::sink::{Layout, StoreSink};
+use csb_store::{Compression, CsbError, FileKind, ShardedLayout, StoreWriter};
 use std::path::PathBuf;
 
-/// Default store chunk size for labeled flow stores (matches the flow sink
-/// default).
-const DEFAULT_CHUNK_RECORDS: usize = 8192;
+/// Default chunk size of a *sharded* labeled flow store: small enough that
+/// a modest capture still deals chunks to every shard. A single-file store
+/// defaults to the sink's own [`csb_store::sink::CHUNK_RECORDS`].
+const SHARDED_CHUNK_RECORDS: usize = 8192;
 
 /// A configured campaign run. Build with [`CampaignJob::new`], refine with
 /// the builder methods, execute with [`CampaignJob::run`].
@@ -45,7 +47,7 @@ pub struct CampaignJob {
     store: Option<PathBuf>,
     shards: usize,
     compression: Compression,
-    chunk_records: usize,
+    chunk_records: Option<usize>,
     recorder: Option<csb_obs::Recorder>,
 }
 
@@ -80,7 +82,7 @@ impl CampaignJob {
             store: None,
             shards: 0,
             compression: Compression::default(),
-            chunk_records: DEFAULT_CHUNK_RECORDS,
+            chunk_records: None,
             recorder: None,
         }
     }
@@ -145,9 +147,9 @@ impl CampaignJob {
         self
     }
 
-    /// Overrides the store chunk size.
+    /// Overrides the store chunk size, for either layout.
     pub fn chunk_records(mut self, records: usize) -> Self {
-        self.chunk_records = records.max(1);
+        self.chunk_records = Some(records.max(1));
         self
     }
 
@@ -180,20 +182,35 @@ impl CampaignJob {
         csb_obs::counter_add("campaign.job.labeled_flows", labeled_flows as u64);
 
         if let Some(path) = &self.store {
-            if self.shards > 1 {
-                save_labeled_flows_sharded(
-                    path,
-                    &flows,
-                    self.shards,
-                    self.compression,
-                    self.chunk_records,
-                )?;
+            let (shards, compression) = (self.shards, self.compression);
+            if shards > 1 {
+                let layout = ShardedLayout::create(path, FileKind::Flows, shards, compression)?;
+                write_flows(layout, &flows, self.chunk_records.or(Some(SHARDED_CHUNK_RECORDS)))?;
             } else {
-                save_labeled_flows(path, &flows, self.compression)?;
+                let layout =
+                    StoreWriter::create_with(path, FileKind::Flows, compression.version())?;
+                write_flows(layout, &flows, self.chunk_records)?;
             }
         }
         Ok(CampaignOutcome { flows, runs, packets, labeled_flows })
     }
+}
+
+/// Streams `flows` through `layout`, in chunks of `chunk_records` when given
+/// and of the sink's default otherwise.
+fn write_flows<L: Layout>(
+    layout: L,
+    flows: &[LabeledFlow],
+    chunk_records: Option<usize>,
+) -> Result<(), CsbError> {
+    let _span = csb_obs::span_cat("campaignjob.store", "gen");
+    let mut sink = StoreSink::new(layout);
+    if let Some(n) = chunk_records {
+        sink = sink.with_chunk_records(n);
+    }
+    sink.push(flows.iter().copied())?;
+    sink.finish()?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -269,6 +286,20 @@ mod tests {
         let b = csb_store::load_labeled_flows(&sharded).expect("load sharded");
         assert_eq!(a, out.flows);
         assert_eq!(b, out.flows);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn chunk_records_is_honoured_for_a_single_file_store() {
+        let dir = temp_dir("chunks");
+        let path = dir.join("flows.csbstore");
+        let out = small_job().store(&path).chunk_records(64).run().expect("run");
+        assert!(out.flows.len() > 64, "the capture must span several chunks");
+        let reader = csb_store::StoreReader::open(&path).expect("open");
+        let flow_chunks =
+            reader.chunks().iter().filter(|c| c.kind == csb_store::ChunkKind::LabeledFlow).count();
+        assert_eq!(flow_chunks, out.flows.len().div_ceil(64));
+        assert_eq!(csb_store::load_labeled_flows(&path).expect("load"), out.flows);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -45,27 +45,6 @@ impl PhaseTimings {
         }
     }
 
-    /// Sets the grow-phase duration.
-    #[must_use]
-    pub fn grow(mut self, d: Duration) -> Self {
-        self.grow = d;
-        self
-    }
-
-    /// Sets the inflate-phase duration.
-    #[must_use]
-    pub fn inflate(mut self, d: Duration) -> Self {
-        self.inflate = d;
-        self
-    }
-
-    /// Sets the attach-phase duration.
-    #[must_use]
-    pub fn attach(mut self, d: Duration) -> Self {
-        self.attach = d;
-        self
-    }
-
     /// Total wall-clock time over all phases.
     pub fn total(&self) -> Duration {
         self.grow + self.inflate + self.attach
@@ -240,19 +219,22 @@ mod tests {
 
     #[test]
     fn phase_timings_totals() {
-        let t = PhaseTimings::new("pgsk", 1_000_000)
-            .grow(std::time::Duration::from_millis(250))
-            .inflate(std::time::Duration::from_millis(150))
-            .attach(std::time::Duration::from_millis(100));
+        let t = PhaseTimings {
+            grow: Duration::from_millis(250),
+            inflate: Duration::from_millis(150),
+            attach: Duration::from_millis(100),
+            ..PhaseTimings::new("pgsk", 1_000_000)
+        };
         assert_eq!(t.total(), std::time::Duration::from_millis(500));
         assert!((t.edges_per_sec() - 2_000_000.0).abs() < 1.0);
     }
 
     #[test]
-    fn timed_wrappers_match_untimed_output() {
+    fn timed_runs_match_untimed_output() {
         let seed = small_seed();
         let cfg = PgpbaConfig { desired_size: 2_000, fraction: 0.4, seed: 11 };
-        let (g, t) = crate::pgpba::pgpba_timed(&seed, &cfg);
+        let run = crate::GenJob::pgpba(&seed, cfg).timed().run().expect("run");
+        let (g, t) = (run.graph.expect("graph"), run.timings.expect("timings"));
         let plain = crate::pgpba(&seed, &cfg);
         assert_eq!(g.edge_count(), plain.edge_count());
         assert_eq!(t.edges, g.edge_count());
@@ -264,7 +246,8 @@ mod tests {
             kronfit_iterations: 8,
             kronfit_permutation_samples: 200,
         };
-        let (g, t) = crate::pgsk::pgsk_timed(&seed, &pcfg);
+        let run = crate::GenJob::pgsk(&seed, pcfg).timed().run().expect("run");
+        let (g, t) = (run.graph.expect("graph"), run.timings.expect("timings"));
         let plain = crate::pgsk(&seed, &pcfg);
         assert_eq!(g.edge_count(), plain.edge_count());
         assert_eq!(t.edges, g.edge_count());

@@ -23,9 +23,8 @@
 //! assert!(run.graph.is_none(), "store runs never hold the graph in memory");
 //! ```
 //!
-//! The in-memory free functions (`pgpba`, `pgsk` and their `*_timed` forms)
-//! are what a memory run calls and stay public; streaming to a sink or a
-//! store goes through `GenJob` only.
+//! The in-memory free functions `pgpba` and `pgsk` wrap a memory run and stay
+//! public; streaming to a sink or a store goes through `GenJob` only.
 //!
 //! # Checkpointed runs and crash recovery
 //!
@@ -44,7 +43,7 @@ use crate::config::{PgpbaConfig, PgskConfig};
 use crate::diagnostics::PhaseTimings;
 use crate::distributed::{pgpba_distributed, pgsk_distributed, DistConfig};
 use crate::pgpba::pgpba_topology;
-use crate::pgsk::pgsk_topology;
+use crate::pgsk::pgsk_topology_phases;
 use crate::seed::SeedBundle;
 use crate::stream::attach_properties_to_sink;
 use crate::topo::{attach_properties, Topology};
@@ -332,28 +331,38 @@ impl<'a, 's> GenJob<'a, 's> {
     }
 
     /// Grows the topology (in-process or on the engine), returning it with
-    /// the grow duration and any engine metrics.
-    fn grow(&self) -> (Topology, Option<JobMetrics>, std::time::Duration) {
+    /// any engine metrics and a [`PhaseTimings`] whose grow and inflate
+    /// phases are filled in (inflate is PGSK's in-process re-inflation; the
+    /// engine path folds it into grow).
+    fn grow(&self) -> (Topology, Option<JobMetrics>, PhaseTimings) {
         csb_obs::status::set_phase("grow");
-        let t0 = Instant::now();
-        match (&self.config, &self.distributed) {
+        let mut phases = PhaseTimings::new(self.config.generator_name(), 0);
+        let analysis = &self.seed.analysis;
+        let (topo, metrics) = match (&self.config, &self.distributed) {
             (GenConfig::Pgpba(cfg), None) => {
                 let seed_topo = Topology::of_graph(&self.seed.graph);
-                (pgpba_topology(&seed_topo, &self.seed.analysis, cfg), None, t0.elapsed())
+                let t0 = Instant::now();
+                let topo = pgpba_topology(&seed_topo, analysis, cfg);
+                phases.grow = t0.elapsed();
+                (topo, None)
             }
             (GenConfig::Pgsk(cfg), None) => {
                 let seed_topo = Topology::of_graph(&self.seed.graph);
-                (pgsk_topology(&seed_topo, &self.seed.analysis, cfg), None, t0.elapsed())
+                let (topo, grow, inflate) = pgsk_topology_phases(&seed_topo, analysis, cfg);
+                (phases.grow, phases.inflate) = (grow, inflate);
+                (topo, None)
             }
-            (GenConfig::Pgpba(cfg), Some(dist)) => {
-                let (topo, metrics) = pgpba_distributed(self.seed, cfg, dist);
-                (topo, Some(metrics), t0.elapsed())
+            (config, Some(dist)) => {
+                let t0 = Instant::now();
+                let (topo, metrics) = match config {
+                    GenConfig::Pgpba(cfg) => pgpba_distributed(self.seed, cfg, dist),
+                    GenConfig::Pgsk(cfg) => pgsk_distributed(self.seed, cfg, dist),
+                };
+                phases.grow = t0.elapsed();
+                (topo, Some(metrics))
             }
-            (GenConfig::Pgsk(cfg), Some(dist)) => {
-                let (topo, metrics) = pgsk_distributed(self.seed, cfg, dist);
-                (topo, Some(metrics), t0.elapsed())
-            }
-        }
+        };
+        (topo, metrics, phases)
     }
 
     /// The attach conventions the in-process generators established: PGPBA
@@ -422,36 +431,21 @@ impl<'a, 's> GenJob<'a, 's> {
     }
 
     fn run_memory(self) -> Result<GenRun, CsbError> {
-        // In-process timed runs keep the fine-grained phase splits of the
-        // original timed implementations (PGSK reports grow and inflate
-        // separately, which the generic grow() cannot observe).
-        if self.timed && self.distributed.is_none() {
-            csb_obs::status::set_phase("grow");
-            let (g, timings) = match &self.config {
-                GenConfig::Pgpba(cfg) => crate::pgpba::pgpba_timed(self.seed, cfg),
-                GenConfig::Pgsk(cfg) => crate::pgsk::pgsk_timed(self.seed, cfg),
-            };
-            let edges = g.edge_count() as u64;
-            return Ok(GenRun { graph: Some(g), edges, timings: Some(timings), metrics: None });
-        }
-        let generator = self.config.generator_name();
-        let (topo, metrics, grow) = self.grow();
+        let (topo, metrics, phases) = self.grow();
         let (ips, attach_seed) = self.attach_params();
         csb_obs::status::set_phase("attach");
         let t1 = Instant::now();
         let g = attach_properties(&topo, &self.seed.analysis.properties, &ips, attach_seed);
         let attach = t1.elapsed();
         let edges = g.edge_count() as u64;
-        let timings = self
-            .timed
-            .then(|| PhaseTimings::new(generator, g.edge_count()).grow(grow).attach(attach));
+        let timings =
+            self.timed.then_some(PhaseTimings { edges: edges as usize, attach, ..phases });
         Ok(GenRun { graph: Some(g), edges, timings, metrics })
     }
 
     fn run_sink(self) -> Result<GenRun, CsbError> {
-        let generator = self.config.generator_name();
         let timed = self.timed;
-        let (topo, metrics, grow) = self.grow();
+        let (topo, metrics, phases) = self.grow();
         let (ips, attach_seed) = self.attach_params();
         let Output::Sink(sink) = self.output else { unreachable!("run_sink on non-sink output") };
         csb_obs::status::set_phase("attach");
@@ -464,8 +458,7 @@ impl<'a, 's> GenJob<'a, 's> {
             sink,
         )?;
         let attach = t1.elapsed();
-        let timings =
-            timed.then(|| PhaseTimings::new(generator, edges as usize).grow(grow).attach(attach));
+        let timings = timed.then_some(PhaseTimings { edges: edges as usize, attach, ..phases });
         Ok(GenRun { graph: None, edges, timings, metrics })
     }
 
@@ -537,7 +530,7 @@ impl<'a, 's> GenJob<'a, 's> {
         if self.cancelled() {
             return Err(CsbError::Transient("preempted: cancel flag set before grow".into()));
         }
-        let (topo, metrics, grow) = self.grow();
+        let (topo, metrics, phases) = self.grow();
         if self.cancelled() && self.ckpt.dir.is_none() {
             // Checkpointed runs defer to the layout's chunk-boundary check,
             // which takes a durable barrier first.
@@ -573,10 +566,8 @@ impl<'a, 's> GenJob<'a, 's> {
                 &topo,
             )?,
         };
-        let timings = self.timed.then(|| {
-            let generator = self.config.generator_name();
-            PhaseTimings::new(generator, edges as usize).grow(grow).attach(attach)
-        });
+        let timings =
+            self.timed.then_some(PhaseTimings { edges: edges as usize, attach, ..phases });
         Ok(GenRun { graph: None, edges, timings, metrics })
     }
 
@@ -603,11 +594,12 @@ impl<'a, 's> GenJob<'a, 's> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pgpba::{pgpba, pgpba_timed};
+    use crate::pgpba::pgpba;
     use crate::pgsk::pgsk;
     use crate::seed::seed_from_trace;
     use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
     use csb_store::sink::{save_graph_to, MemoryGraphSink};
+    use std::time::Duration;
 
     fn small_seed() -> SeedBundle {
         let trace = TrafficSim::new(TrafficSimConfig {
@@ -652,10 +644,26 @@ mod tests {
         let cfg = PgpbaConfig { desired_size: 6000, fraction: 0.5, seed: 42 };
         let run = GenJob::pgpba(&seed, cfg).timed().run().expect("run");
         let timings = run.timings.expect("timings");
-        let (reference, ref_timings) = pgpba_timed(&seed, &cfg);
-        assert_eq!(timings.generator, ref_timings.generator);
+        let reference = pgpba(&seed, &cfg);
+        assert_eq!(timings.generator, "pgpba");
         assert_eq!(timings.edges, reference.edge_count());
+        assert!(timings.grow > Duration::ZERO && timings.attach > Duration::ZERO);
+        assert_eq!(timings.inflate, Duration::ZERO, "PGPBA has no inflate phase");
         assert_graphs_equal(run.graph.as_ref().expect("graph"), &reference);
+    }
+
+    #[test]
+    fn timed_pgsk_store_run_reports_inflate_apart_from_grow() {
+        let seed = small_seed();
+        let cfg = PgskConfig { seed: 7, ..PgskConfig::new(2000) };
+        let dir = temp_dir("timedsk");
+        let run =
+            GenJob::pgsk(&seed, cfg).store(dir.join("k.csbstore")).timed().run().expect("run");
+        let timings = run.timings.expect("timings");
+        assert_eq!((timings.generator, timings.edges as u64), ("pgsk", run.edges));
+        assert!(timings.inflate > Duration::ZERO, "a store run times re-inflation too");
+        assert!(timings.grow > Duration::ZERO && timings.attach > Duration::ZERO);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub use config::{PgpbaConfig, PgskConfig};
 pub use diagnostics::PhaseTimings;
 pub use distributed::DistConfig;
 pub use job::{GenConfig, GenJob, GenRun};
-pub use pgpba::{pgpba, pgpba_timed};
-pub use pgsk::{pgsk, pgsk_timed};
+pub use pgpba::pgpba;
+pub use pgsk::pgsk;
 pub use seed::{seed_from_packets, seed_from_trace, SeedBundle};
 pub use stream::attach_properties_to_sink;
 pub use veracity::{DynEdgeScan, Metric, MetricScore, VeracityJob, VeracityReport};

@@ -15,14 +15,12 @@
 
 use crate::analysis::SeedAnalysis;
 use crate::config::PgpbaConfig;
-use crate::diagnostics::PhaseTimings;
 use crate::seed::SeedBundle;
-use crate::topo::{attach_properties, edge_windows, Topology};
+use crate::topo::{edge_windows, Topology};
 use csb_graph::NetflowGraph;
 use csb_stats::rng::rng_for;
 use rand::Rng;
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// One new vertex's attachment plan, computed in parallel.
 struct Attachment {
@@ -118,23 +116,6 @@ pub fn pgpba_topology(
         );
     }
     topo
-}
-
-/// [`pgpba`] with per-phase wall-clock timings (grow / attach, edges/sec).
-///
-/// Compatibility wrapper: prefer
-/// [`GenJob::pgpba(..).timed()`](crate::GenJob::timed).
-pub fn pgpba_timed(seed: &SeedBundle, cfg: &PgpbaConfig) -> (NetflowGraph, PhaseTimings) {
-    let seed_topo = Topology::of_graph(&seed.graph);
-    let t0 = Instant::now();
-    let topo = pgpba_topology(&seed_topo, &seed.analysis, cfg);
-    let grow = t0.elapsed();
-    let seed_ips: Vec<u32> = seed.graph.vertex_data().to_vec();
-    let t1 = Instant::now();
-    let g = attach_properties(&topo, &seed.analysis.properties, &seed_ips, cfg.seed ^ 0x9E37);
-    let attach = t1.elapsed();
-    let timings = PhaseTimings::new("pgpba", g.edge_count()).grow(grow).attach(attach);
-    (g, timings)
 }
 
 /// Runs the full PGPBA generator: grow the seed to `desired_size` edges,

@@ -14,21 +14,20 @@
 
 use crate::analysis::SeedAnalysis;
 use crate::config::PgskConfig;
-use crate::diagnostics::PhaseTimings;
 use crate::kronecker::{generate_edges, kronfit, Initiator};
 use crate::seed::SeedBundle;
-use crate::topo::{attach_properties, edge_windows, Topology};
+use crate::topo::{edge_windows, Topology};
 use csb_graph::NetflowGraph;
 use csb_stats::rng::{derive_seed, rng_for};
 use csb_stats::EmpiricalDistribution;
 use rayon::prelude::*;
 use std::collections::HashSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Mean of `max(sample, 1)` under a distribution — the expected duplication
 /// factor of step 4 (duplication counts are clamped to >= 1 so no distinct
 /// edge disappears).
-fn mean_duplication(d: &EmpiricalDistribution) -> f64 {
+pub(crate) fn mean_duplication(d: &EmpiricalDistribution) -> f64 {
     let total: f64 = d.weights().iter().sum();
     d.support().iter().zip(d.weights().iter()).map(|(&v, &w)| v.max(1) as f64 * w).sum::<f64>()
         / total
@@ -186,13 +185,27 @@ fn inflate(expansion: &KroneckerExpansion, analysis: &SeedAnalysis, cfg: &PgskCo
     Topology { num_vertices: next, src, dst }
 }
 
-/// Grows the topology only (steps 1-4) — shared with the distributed
-/// implementation and the no-properties benchmarks.
+/// Grows the topology only (steps 1-4) — shared with the no-properties
+/// benchmarks.
 pub fn pgsk_topology(seed_topo: &Topology, analysis: &SeedAnalysis, cfg: &PgskConfig) -> Topology {
+    pgsk_topology_phases(seed_topo, analysis, cfg).0
+}
+
+/// [`pgsk_topology`] with the wall time of steps 1-3 (grow) and of step 4
+/// (inflate), the split [`GenJob::timed`](crate::GenJob::timed) reports.
+pub(crate) fn pgsk_topology_phases(
+    seed_topo: &Topology,
+    analysis: &SeedAnalysis,
+    cfg: &PgskConfig,
+) -> (Topology, Duration, Duration) {
     cfg.validate();
     assert!(seed_topo.edge_count() > 0, "PGSK needs a non-empty seed");
+    let t0 = Instant::now();
     let expansion = expansion_for(seed_topo, analysis, cfg);
-    inflate(&expansion, analysis, cfg)
+    let grow = t0.elapsed();
+    let t1 = Instant::now();
+    let topo = inflate(&expansion, analysis, cfg);
+    (topo, grow, t1.elapsed())
 }
 
 /// Runs the full PGSK generator.
@@ -203,28 +216,6 @@ pub fn pgsk_topology(seed_topo: &Topology, analysis: &SeedAnalysis, cfg: &PgskCo
 pub fn pgsk(seed: &SeedBundle, cfg: &PgskConfig) -> NetflowGraph {
     let run = crate::GenJob::pgsk(seed, *cfg).run().expect("in-memory runs cannot fail");
     run.graph.expect("memory output always holds the graph")
-}
-
-/// [`pgsk`] with per-phase wall-clock timings (grow / inflate / attach).
-///
-/// Compatibility wrapper: prefer
-/// [`GenJob::pgsk(..).timed()`](crate::GenJob::timed).
-pub fn pgsk_timed(seed: &SeedBundle, cfg: &PgskConfig) -> (NetflowGraph, PhaseTimings) {
-    cfg.validate();
-    let seed_topo = Topology::of_graph(&seed.graph);
-    assert!(seed_topo.edge_count() > 0, "PGSK needs a non-empty seed");
-    let t0 = Instant::now();
-    let expansion = expansion_for(&seed_topo, &seed.analysis, cfg);
-    let grow = t0.elapsed();
-    let t1 = Instant::now();
-    let topo = inflate(&expansion, &seed.analysis, cfg);
-    let inflated = t1.elapsed();
-    let t2 = Instant::now();
-    let g = attach_properties(&topo, &seed.analysis.properties, &[], cfg.seed ^ 0x5EED);
-    let attach = t2.elapsed();
-    let timings =
-        PhaseTimings::new("pgsk", g.edge_count()).grow(grow).inflate(inflated).attach(attach);
-    (g, timings)
 }
 
 #[cfg(test)]

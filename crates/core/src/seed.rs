@@ -6,6 +6,7 @@ use csb_graph::{graph_from_flows, NetflowGraph};
 use csb_net::assembler::FlowAssembler;
 use csb_net::packet::Packet;
 use csb_net::trace::Trace;
+use csb_store::CsbError;
 
 /// The seed: the property-graph built from the source trace plus its
 /// analysis, ready to be handed to PGPBA/PGSK.
@@ -18,6 +19,20 @@ pub struct SeedBundle {
 }
 
 impl SeedBundle {
+    /// Analyzes `graph` into a seed. A graph without edges has no degree or
+    /// attribute distributions to draw from and is refused: seed graphs
+    /// arrive from files and wire requests.
+    pub fn from_graph(graph: NetflowGraph) -> Result<SeedBundle, CsbError> {
+        if graph.edge_count() == 0 {
+            return Err(CsbError::Config(format!(
+                "seed graph has no edges ({} vertices): nothing to grow from",
+                graph.vertex_count()
+            )));
+        }
+        let analysis = SeedAnalysis::of(&graph);
+        Ok(SeedBundle { graph, analysis })
+    }
+
     /// Seed edge count (the paper reports its seed as 1,940,814 edges).
     pub fn edge_count(&self) -> usize {
         self.graph.edge_count()
@@ -31,9 +46,7 @@ impl SeedBundle {
 pub fn seed_from_packets(packets: &[Packet]) -> SeedBundle {
     let flows = FlowAssembler::assemble(packets);
     assert!(!flows.is_empty(), "seed trace produced no flows");
-    let graph = graph_from_flows(&flows);
-    let analysis = SeedAnalysis::of(&graph);
-    SeedBundle { graph, analysis }
+    SeedBundle::from_graph(graph_from_flows(&flows)).expect("every flow is an edge")
 }
 
 /// Convenience wrapper over a [`Trace`].
@@ -88,6 +101,14 @@ mod tests {
         let via_pcap = seed_from_packets(&packets);
         assert_eq!(direct.graph.edge_count(), via_pcap.graph.edge_count());
         assert_eq!(direct.graph.vertex_count(), via_pcap.graph.vertex_count());
+    }
+
+    #[test]
+    fn edgeless_graph_is_a_config_error() {
+        let mut g = NetflowGraph::new();
+        g.add_vertex(0x0A00_0001);
+        let err = SeedBundle::from_graph(g).expect_err("no edges");
+        assert!(matches!(&err, CsbError::Config(m) if m.contains("no edges")), "got {err}");
     }
 
     #[test]

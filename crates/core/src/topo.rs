@@ -12,7 +12,7 @@ use csb_stats::rng::rng_for;
 use rayon::prelude::*;
 
 /// A bare directed multigraph under construction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Topology {
     /// Number of vertices (ids are `0..num_vertices`).
     pub num_vertices: u32,

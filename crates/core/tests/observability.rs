@@ -2,7 +2,7 @@
 //! never perturb generator output (the probes touch no RNG stream), and a
 //! disabled collector must cost no more than a relaxed atomic load per site.
 
-use csb_core::{pgpba, pgpba_timed, pgsk, seed_from_trace, PgpbaConfig, PgskConfig, SeedBundle};
+use csb_core::{pgpba, pgsk, seed_from_trace, GenJob, PgpbaConfig, PgskConfig, SeedBundle};
 use csb_graph::NetflowGraph;
 use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
 use std::time::{Duration, Instant};
@@ -92,16 +92,16 @@ fn disabled_collector_overhead_smoke() {
     csb_obs::reset();
     csb_obs::disable();
     let disabled = best_of(3, &|| {
-        let (g, t) = pgpba_timed(&seed, &cfg);
-        assert!(g.edge_count() >= 4_000);
-        assert!(t.total() > Duration::ZERO);
+        let run = GenJob::pgpba(&seed, cfg).timed().run().expect("run");
+        assert!(run.edges >= 4_000);
+        assert!(run.timings.expect("timings").total() > Duration::ZERO);
     });
     assert!(csb_obs::flush_spans().is_empty());
 
     csb_obs::enable();
     let enabled = best_of(3, &|| {
-        let (g, _) = pgpba_timed(&seed, &cfg);
-        assert!(g.edge_count() >= 4_000);
+        let run = GenJob::pgpba(&seed, cfg).timed().run().expect("run");
+        assert!(run.edges >= 4_000);
     });
     csb_obs::disable();
     csb_obs::reset();

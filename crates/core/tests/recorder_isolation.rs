@@ -3,7 +3,7 @@
 //! contamination, nothing leaking onto the global recorder), and scoping
 //! telemetry must never change the bytes a store run writes.
 
-use csb_core::{seed_from_trace, GenJob, PgpbaConfig, SeedBundle};
+use csb_core::{seed_from_trace, DistConfig, GenJob, PgpbaConfig, SeedBundle};
 use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
 use std::path::PathBuf;
 
@@ -81,6 +81,34 @@ fn concurrent_jobs_on_separate_recorders_stay_disjoint() {
     assert_eq!(st_a.phase, "done");
 
     // Nothing leaked onto the (disabled) global recorder.
+    assert!(csb_obs::flush_spans().is_empty(), "global recorder caught scoped spans");
+    assert!(csb_obs::snapshot_metrics().counters.is_empty(), "global recorder caught metrics");
+}
+
+/// The engine path crosses two thread boundaries — the per-run pool's
+/// `install` and the per-partition tasks inside it — and re-installs the
+/// job's recorder at both. Under the sandbox's stand-in rayon `install` stays
+/// on the calling thread, so the first boundary only bites against the
+/// published crate, i.e. in CI.
+#[test]
+fn distributed_job_lands_engine_spans_on_its_recorder() {
+    let _guard = csb_obs::span::test_lock();
+    csb_obs::disable();
+    csb_obs::reset();
+    let seed = small_seed(35);
+    let rec = csb_obs::Recorder::new();
+    let cfg = PgpbaConfig { desired_size: seed.edge_count() as u64 * 2, fraction: 0.5, seed: 8 };
+    GenJob::pgpba(&seed, cfg)
+        .distributed(DistConfig::default())
+        .recorder(rec.clone())
+        .run()
+        .expect("distributed run");
+
+    let spans = rec.flush_spans();
+    for name in ["pgpba.distributed", "engine.partition"] {
+        assert!(spans.iter().any(|s| s.name == name), "{name} missing from the job's recorder");
+    }
+    assert!(rec.snapshot_metrics().counter("engine.ops").is_some_and(|n| n > 0));
     assert!(csb_obs::flush_spans().is_empty(), "global recorder caught scoped spans");
     assert!(csb_obs::snapshot_metrics().counters.is_empty(), "global recorder caught metrics");
 }

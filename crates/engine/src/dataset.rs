@@ -1,94 +1,97 @@
 //! `Pdd<T>` — partitioned distributed dataset, the RDD analogue.
 //!
-//! Operators execute eagerly over real partitions on a [`ThreadPool`] and
-//! record their counts into [`JobMetrics`]. The operator set is exactly what
-//! the paper's implementations need: `sample` (PGPBA's first preferential-
-//! attachment stage uses `RDD.sample()`), `distinct` (PGSK deduplicates
-//! conflicting Kronecker descents with `RDD.distinct()`), plus the usual
-//! `map` / `flat_map` / `filter` / `union` / `reduce_by_key`.
+//! Operators execute eagerly, one task per partition on the ambient rayon
+//! pool, and record their counts into [`JobMetrics`]. The operator set is
+//! exactly what `csb-core`'s distributed generators call:
+//! `sample_with_replacement` (PGPBA's first preferential-attachment stage,
+//! `RDD.sample(true, fraction)`), `flat_map` / `flat_map_indexed` (PGPBA's
+//! per-record attachment, PGSK's descent batches and re-inflation), `union`,
+//! and `distinct` (PGSK discards conflicting Kronecker descents with
+//! `RDD.distinct()`).
 //!
-//! Hash shuffles (`distinct`, `group_by_key`, `reduce_by_key`) can spill to
-//! disk: when the estimated shuffle volume exceeds [`SpillConfig::
-//! budget_bytes`], producers write bucketed `csb-store` spill files instead
-//! of holding every bucket in memory, and consumers read their bucket back
-//! from each producer in order — the same gathered record order as the
-//! in-memory transpose, so results are identical either way.
+//! An operator's output is a function of *(seed, partition index, index in
+//! partition)*, never of which thread ran a partition, so results are
+//! identical at every pool width.
 
-use crate::costmodel::CostModel;
-use crate::executor::ThreadPool;
 use crate::metrics::JobMetrics;
 use crate::retry::TaskPolicy;
 use csb_stats::rng::rng_for;
-use csb_store::{SpillCodec, SpillFile, SpillWriter};
 use rand::Rng;
-use std::collections::HashMap;
+use rayon::prelude::*;
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
-
-/// When and where a shuffle spills to disk.
-///
-/// The estimated shuffle volume is `records × bytes_per_record`; when it
-/// exceeds `budget_bytes` the shuffle goes through `csb-store` spill files
-/// in `dir`. The default budget is unlimited (never spill), matching the
-/// previous all-in-memory behaviour.
-#[derive(Debug, Clone)]
-pub struct SpillConfig {
-    /// In-memory shuffle budget in bytes; `u64::MAX` disables spilling.
-    pub budget_bytes: u64,
-    /// Estimated serialized size of one shuffled record; defaults to the
-    /// cluster cost model's `shuffle_bytes_per_record` so the gate and the
-    /// simulated-cluster accounting agree on shuffle volume.
-    pub bytes_per_record: f64,
-    /// Directory spill files are created in (deleted when the shuffle ends).
-    pub dir: PathBuf,
-}
-
-impl Default for SpillConfig {
-    fn default() -> Self {
-        SpillConfig {
-            budget_bytes: u64::MAX,
-            bytes_per_record: CostModel::default().shuffle_bytes_per_record,
-            dir: std::env::temp_dir(),
-        }
-    }
-}
-
-impl SpillConfig {
-    /// True when shuffling `records` records should go through disk.
-    fn should_spill(&self, records: u64) -> bool {
-        records as f64 * self.bytes_per_record > self.budget_bytes as f64
-    }
-}
 
 /// A dataset split into partitions, processed in parallel.
 ///
 /// ```
-/// use csb_engine::{JobMetrics, Pdd, ThreadPool};
+/// use csb_engine::{JobMetrics, Pdd};
 ///
 /// let metrics = JobMetrics::new();
-/// let d = Pdd::from_vec((0u64..100).collect(), 8, ThreadPool::new(4), metrics.clone());
-/// let distinct_evens = d.map(|x| x / 2).distinct();
-/// assert_eq!(distinct_evens.count(), 50);
+/// let d = Pdd::from_vec((0u64..100).collect(), 8, metrics.clone());
+/// let distinct_halves = d.flat_map(|x| [x / 2]).distinct();
+/// assert_eq!(distinct_halves.count(), 50);
 /// // Every operator reported its record counts for the cluster cost model.
 /// assert!(metrics.ops().iter().any(|o| o.op == "distinct" && o.shuffled > 0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Pdd<T> {
     partitions: Vec<Vec<T>>,
-    pool: ThreadPool,
+    driver: Driver,
+}
+
+/// What every dataset of one job shares: where its operators report and the
+/// policy their tasks run under.
+#[derive(Debug, Clone)]
+struct Driver {
     metrics: JobMetrics,
-    spill: SpillConfig,
     tasks: TaskPolicy,
+}
+
+/// The engine's one spawn site: runs `task(partition index, input)` for
+/// every input on the ambient rayon pool and returns the results in
+/// partition order. Pool threads do not inherit the caller's recorder scope,
+/// so it is captured once and re-installed per task; each task is an
+/// `engine.partition` span on the thread that ran it.
+fn run_partitions<I: Send, U: Send>(inputs: Vec<I>, task: impl Fn(usize, I) -> U + Sync) -> Vec<U> {
+    let _job = csb_obs::span_cat("engine.for_each_partition", "engine");
+    let recorder = csb_obs::recorder::current();
+    inputs
+        .into_par_iter()
+        .enumerate()
+        .map(|(p, input)| {
+            let _obs_scope = recorder.install();
+            let _part = csb_obs::span_cat("engine.partition", "engine");
+            task(p, input)
+        })
+        .collect()
+}
+
+impl Driver {
+    /// One operator: a task per partition behind the [`TaskPolicy`] gate,
+    /// then one [`JobMetrics`] record. `inputs` are the upstream partitions,
+    /// owned or borrowed.
+    fn run_op<I: Send, U: Send>(
+        &self,
+        name: &'static str,
+        records_in: u64,
+        shuffled: u64,
+        inputs: Vec<I>,
+        f: impl Fn(usize, I) -> Vec<U> + Sync,
+    ) -> Pdd<U> {
+        let op = self.tasks.next_op();
+        let partitions = run_partitions(inputs, |p, input| {
+            self.tasks.gate(op, p);
+            f(p, input)
+        });
+        let out = Pdd { partitions, driver: self.clone() };
+        self.metrics.record(name, records_in, out.count(), shuffled);
+        out
+    }
 }
 
 impl<T: Send> Pdd<T> {
     /// Distributes `data` round-robin over `partitions` partitions.
-    pub fn from_vec(
-        data: Vec<T>,
-        partitions: usize,
-        pool: ThreadPool,
-        metrics: JobMetrics,
-    ) -> Self {
+    pub fn from_vec(data: Vec<T>, partitions: usize, metrics: JobMetrics) -> Self {
         let nparts = partitions.max(1);
         let mut parts: Vec<Vec<T>> = (0..nparts)
             .map(|i| Vec::with_capacity(data.len() / nparts + usize::from(i == 0)))
@@ -98,63 +101,25 @@ impl<T: Send> Pdd<T> {
             parts[i % nparts].push(item);
         }
         metrics.record("parallelize", 0, n, 0);
-        Pdd {
-            partitions: parts,
-            pool,
-            metrics,
-            spill: SpillConfig::default(),
-            tasks: TaskPolicy::default(),
-        }
+        Pdd { partitions: parts, driver: Driver { metrics, tasks: TaskPolicy::default() } }
     }
 
     /// An empty dataset with the given partitioning.
-    pub fn empty(partitions: usize, pool: ThreadPool, metrics: JobMetrics) -> Self {
-        let mut parts = Vec::with_capacity(partitions.max(1));
+    pub fn empty(partitions: usize, metrics: JobMetrics) -> Self {
+        let mut parts = Vec::new();
         parts.resize_with(partitions.max(1), Vec::new);
-        Pdd {
-            partitions: parts,
-            pool,
-            metrics,
-            spill: SpillConfig::default(),
-            tasks: TaskPolicy::default(),
-        }
-    }
-
-    /// Replaces the spill configuration; downstream datasets inherit it.
-    pub fn with_spill(mut self, spill: SpillConfig) -> Self {
-        self.spill = spill;
-        self
-    }
-
-    /// The spill configuration shuffles on this dataset use.
-    pub fn spill_config(&self) -> &SpillConfig {
-        &self.spill
+        Pdd { partitions: parts, driver: Driver { metrics, tasks: TaskPolicy::default() } }
     }
 
     /// Replaces the task retry/fault policy; downstream datasets inherit it.
     pub fn with_tasks(mut self, tasks: TaskPolicy) -> Self {
-        self.tasks = tasks;
+        self.driver.tasks = tasks;
         self
-    }
-
-    /// The task retry/fault policy this dataset's operators run under.
-    pub fn task_policy(&self) -> &TaskPolicy {
-        &self.tasks
     }
 
     /// Total records.
     pub fn count(&self) -> u64 {
         self.partitions.iter().map(|p| p.len() as u64).sum()
-    }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// The metrics accumulator this dataset reports into.
-    pub fn metrics(&self) -> &JobMetrics {
-        &self.metrics
     }
 
     /// Gathers all records to the caller ("driver"), draining the dataset.
@@ -171,29 +136,6 @@ impl<T: Send> Pdd<T> {
         self.partitions.iter().map(Vec::len).collect()
     }
 
-    /// Element-wise map.
-    pub fn map<U: Send, F>(self, f: F) -> Pdd<U>
-    where
-        F: Fn(T) -> U + Send + Sync,
-    {
-        let n_in = self.count();
-        let op = self.tasks.next_op();
-        let tasks = self.tasks;
-        let parts = self.pool.map_partitions(self.partitions, |p, part| {
-            tasks.gate(op, p);
-            part.into_iter().map(&f).collect::<Vec<U>>()
-        });
-        let out = Pdd {
-            partitions: parts,
-            pool: self.pool,
-            metrics: self.metrics,
-            spill: self.spill,
-            tasks,
-        };
-        out.metrics.record("map", n_in, out.count(), 0);
-        out
-    }
-
     /// One-to-many map.
     pub fn flat_map<U: Send, I, F>(self, f: F) -> Pdd<U>
     where
@@ -201,125 +143,23 @@ impl<T: Send> Pdd<T> {
         F: Fn(T) -> I + Send + Sync,
     {
         let n_in = self.count();
-        let op = self.tasks.next_op();
-        let tasks = self.tasks;
-        let parts = self.pool.map_partitions(self.partitions, |p, part| {
-            tasks.gate(op, p);
-            part.into_iter().flat_map(&f).collect::<Vec<U>>()
-        });
-        let out = Pdd {
-            partitions: parts,
-            pool: self.pool,
-            metrics: self.metrics,
-            spill: self.spill,
-            tasks,
-        };
-        out.metrics.record("flat_map", n_in, out.count(), 0);
-        out
+        self.driver.run_op("flat_map", n_in, 0, self.partitions, |_, part| {
+            part.into_iter().flat_map(&f).collect()
+        })
     }
 
-    /// Keeps records satisfying the predicate.
-    pub fn filter<F>(self, f: F) -> Pdd<T>
-    where
-        F: Fn(&T) -> bool + Send + Sync,
-    {
-        let n_in = self.count();
-        let op = self.tasks.next_op();
-        let tasks = self.tasks;
-        let parts = self.pool.map_partitions(self.partitions, |p, mut part| {
-            tasks.gate(op, p);
-            part.retain(|x| f(x));
-            part
-        });
-        let out = Pdd {
-            partitions: parts,
-            pool: self.pool,
-            metrics: self.metrics,
-            spill: self.spill,
-            tasks,
-        };
-        out.metrics.record("filter", n_in, out.count(), 0);
-        out
-    }
-
-    /// Bernoulli sample of roughly `fraction` of the records —
-    /// `RDD.sample(false, fraction)`, the first stage of PGPBA's two-stage
-    /// preferential attachment.
-    pub fn sample(&self, fraction: f64, seed: u64) -> Pdd<T>
-    where
-        T: Clone + Sync,
-    {
-        assert!((0.0..=1.0).contains(&fraction), "sample fraction must be in [0,1]");
-        let n_in = self.count();
-        let op = self.tasks.next_op();
-        let tasks = self.tasks.clone();
-        let mut parts: Vec<(usize, &Vec<T>, Vec<T>)> =
-            self.partitions.iter().enumerate().map(|(i, p)| (i, p, Vec::new())).collect();
-        self.pool.for_each_partition(&mut parts, |_, slot| {
-            let (idx, input, out) = (slot.0, slot.1, &mut slot.2);
-            tasks.gate(op, idx);
-            let mut rng = rng_for(seed, idx as u64);
-            out.extend(input.iter().filter(|_| rng.gen::<f64>() < fraction).cloned());
-        });
-        let partitions: Vec<Vec<T>> = parts.into_iter().map(|s| s.2).collect();
-        let out = Pdd {
-            partitions,
-            pool: self.pool,
-            metrics: self.metrics.clone(),
-            spill: self.spill.clone(),
-            tasks,
-        };
-        out.metrics.record("sample", n_in, out.count(), 0);
-        out
-    }
-
-    /// Map with `(partition, index_in_partition, item)` — the hook
+    /// Flat-map with `(partition, index_in_partition, item)` — the hook
     /// distributed algorithms use to derive deterministic per-record RNG
     /// streams and globally unique ids (via per-partition offsets).
-    pub fn map_indexed<U: Send, F>(self, f: F) -> Pdd<U>
-    where
-        F: Fn(usize, usize, T) -> U + Send + Sync,
-    {
-        let n_in = self.count();
-        let op = self.tasks.next_op();
-        let tasks = self.tasks;
-        let parts = self.pool.map_partitions(self.partitions, |p, part| {
-            tasks.gate(op, p);
-            part.into_iter().enumerate().map(|(i, x)| f(p, i, x)).collect::<Vec<U>>()
-        });
-        let out = Pdd {
-            partitions: parts,
-            pool: self.pool,
-            metrics: self.metrics,
-            spill: self.spill,
-            tasks,
-        };
-        out.metrics.record("map_indexed", n_in, out.count(), 0);
-        out
-    }
-
-    /// Flat-map with `(partition, index_in_partition, item)`.
     pub fn flat_map_indexed<U: Send, I, F>(self, f: F) -> Pdd<U>
     where
         I: IntoIterator<Item = U>,
         F: Fn(usize, usize, T) -> I + Send + Sync,
     {
         let n_in = self.count();
-        let op = self.tasks.next_op();
-        let tasks = self.tasks;
-        let parts = self.pool.map_partitions(self.partitions, |p, part| {
-            tasks.gate(op, p);
-            part.into_iter().enumerate().flat_map(|(i, x)| f(p, i, x)).collect::<Vec<U>>()
-        });
-        let out = Pdd {
-            partitions: parts,
-            pool: self.pool,
-            metrics: self.metrics,
-            spill: self.spill,
-            tasks,
-        };
-        out.metrics.record("flat_map_indexed", n_in, out.count(), 0);
-        out
+        self.driver.run_op("flat_map_indexed", n_in, 0, self.partitions, |p, part| {
+            part.into_iter().enumerate().flat_map(|(i, x)| f(p, i, x)).collect()
+        })
     }
 
     /// Sample *with replacement*: each record contributes `Poisson(fraction)`
@@ -330,31 +170,17 @@ impl<T: Send> Pdd<T> {
         T: Clone + Sync,
     {
         assert!(fraction >= 0.0 && fraction.is_finite(), "fraction must be non-negative");
-        let n_in = self.count();
-        let op = self.tasks.next_op();
-        let tasks = self.tasks.clone();
-        let mut parts: Vec<(usize, &Vec<T>, Vec<T>)> =
-            self.partitions.iter().enumerate().map(|(i, p)| (i, p, Vec::new())).collect();
-        self.pool.for_each_partition(&mut parts, |_, slot| {
-            let (idx, input, out) = (slot.0, slot.1, &mut slot.2);
-            tasks.gate(op, idx);
-            let mut rng = rng_for(seed, 0x5A17 ^ idx as u64);
-            for x in input.iter() {
+        let inputs: Vec<&Vec<T>> = self.partitions.iter().collect();
+        self.driver.run_op("sample_with_replacement", self.count(), 0, inputs, |p, part| {
+            let mut rng = rng_for(seed, 0x5A17 ^ p as u64);
+            let mut out = Vec::new();
+            for x in part {
                 for _ in 0..poisson(fraction, &mut rng) {
                     out.push(x.clone());
                 }
             }
-        });
-        let partitions: Vec<Vec<T>> = parts.into_iter().map(|s| s.2).collect();
-        let out = Pdd {
-            partitions,
-            pool: self.pool,
-            metrics: self.metrics.clone(),
-            spill: self.spill.clone(),
-            tasks,
-        };
-        out.metrics.record("sample_with_replacement", n_in, out.count(), 0);
-        out
+            out
+        })
     }
 
     /// Concatenates two datasets (keeps left's partition count by merging
@@ -364,7 +190,7 @@ impl<T: Send> Pdd<T> {
         for (i, part) in other.partitions.into_iter().enumerate() {
             self.partitions[i % n].extend(part);
         }
-        self.metrics.record("union", 0, self.count(), 0);
+        self.driver.metrics.record("union", 0, self.count(), 0);
         self
     }
 }
@@ -404,257 +230,36 @@ fn hash_of<T: Hash>(x: &T) -> u64 {
     h.finish()
 }
 
-/// Hash shuffle shared by `distinct` / `group_by_key` / `reduce_by_key`:
-/// routes every record to the partition `bucket_of` names and returns the
-/// gathered partitions plus the shuffled record count.
-///
-/// Below the spill budget this is the in-memory transpose; above it each
-/// producer writes its buckets to a `csb-store` spill file and each consumer
-/// reads its bucket back from every producer *in producer order* — the same
-/// gathered order as the transpose, so downstream results are identical.
-fn hash_shuffle<T, F>(
-    pool: &ThreadPool,
-    spill: &SpillConfig,
-    partitions: Vec<Vec<T>>,
-    bucket_of: F,
-) -> (Vec<Vec<T>>, u64)
-where
-    T: Send + SpillCodec,
-    F: Fn(&T) -> usize + Send + Sync,
-{
-    let nparts = partitions.len();
-    let n_in: u64 = partitions.iter().map(|p| p.len() as u64).sum();
-    if !spill.should_spill(n_in) {
-        // Shuffle write: bucket every record by hash.
-        let bucketed: Vec<Vec<Vec<T>>> = pool.map_partitions(partitions, |_, part| {
-            let mut buckets: Vec<Vec<T>> = Vec::with_capacity(nparts);
-            buckets.resize_with(nparts, Vec::new);
-            for x in part {
-                buckets[bucket_of(&x)].push(x);
-            }
-            buckets
-        });
-        // Shuffle read: transpose.
-        let mut gathered: Vec<Vec<T>> = Vec::with_capacity(nparts);
-        gathered.resize_with(nparts, Vec::new);
-        let mut shuffled = 0u64;
-        for mut producer in bucketed {
-            for (b, bucket) in producer.drain(..).enumerate() {
-                shuffled += bucket.len() as u64;
-                gathered[b].extend(bucket);
-            }
-        }
-        return (gathered, shuffled);
-    }
-
-    // Spill path: same bucketing, but each producer streams its buckets to
-    // a spill file. I/O failure has no recovery story mid-shuffle, so it
-    // panics with context rather than silently corrupting the dataset.
-    let _span = csb_obs::span_cat("engine.spill", "engine");
-    csb_obs::counter_add("engine.spills", 1);
-    csb_obs::obs_debug!(
-        "shuffle of {n_in} records exceeds spill budget of {} bytes, spilling to {}",
-        spill.budget_bytes,
-        spill.dir.display()
-    );
-    let dir = spill.dir.clone();
-    let files: Vec<SpillFile> = pool.map_partitions(partitions, move |_, part| {
-        let mut buckets: Vec<Vec<T>> = Vec::with_capacity(nparts);
-        buckets.resize_with(nparts, Vec::new);
-        for x in part {
-            buckets[bucket_of(&x)].push(x);
-        }
-        let mut w = SpillWriter::create_in(&dir).expect("create shuffle spill file");
-        for (b, bucket) in buckets.iter().enumerate() {
-            w.write_bucket(b, bucket).expect("write shuffle spill bucket");
-        }
-        w.finish().expect("seal shuffle spill file")
-    });
-    let shuffled: u64 = files.iter().map(|f| f.total_records() as u64).sum();
-    let files = &files;
-    let gathered: Vec<Vec<T>> = pool.map_partitions((0..nparts).collect(), |_, b: usize| {
-        let mut out = Vec::new();
-        for f in files {
-            out.extend(f.read_bucket::<T>(b).expect("read shuffle spill bucket"));
-        }
-        out
-    });
-    (gathered, shuffled)
-}
-
-impl<T: Send + Hash + Eq + Clone + SpillCodec> Pdd<T> {
+impl<T: Send + Hash + Eq + Clone> Pdd<T> {
     /// Hash-shuffles records so equal records land in the same partition,
     /// then deduplicates — `RDD.distinct()`, the operator PGSK relies on to
     /// discard conflicting edges generated by independent recursive descents.
     pub fn distinct(self) -> Pdd<T> {
         let n_in = self.count();
         let nparts = self.partitions.len();
-        let op = self.tasks.next_op();
-        let tasks = self.tasks;
-        let (gathered, shuffled) = hash_shuffle(&self.pool, &self.spill, self.partitions, |x| {
-            (hash_of(x) % nparts as u64) as usize
-        });
-        // Per-partition dedup.
-        let parts = self.pool.map_partitions(gathered, |p, part| {
-            tasks.gate(op, p);
-            let mut seen = std::collections::HashSet::with_capacity(part.len());
-            let mut out = Vec::with_capacity(part.len());
+        // Shuffle write: every producer buckets its records by hash.
+        let bucketed: Vec<Vec<Vec<T>>> = run_partitions(self.partitions, |_, part| {
+            let mut buckets: Vec<Vec<T>> = Vec::new();
+            buckets.resize_with(nparts, Vec::new);
             for x in part {
-                if seen.insert(x.clone()) {
-                    out.push(x);
-                }
+                buckets[(hash_of(&x) % nparts as u64) as usize].push(x);
             }
-            out
+            buckets
         });
-        let out = Pdd {
-            partitions: parts,
-            pool: self.pool,
-            metrics: self.metrics,
-            spill: self.spill,
-            tasks,
-        };
-        let n_out = out.count();
-        out.metrics.record("distinct", n_in, n_out, shuffled);
-        csb_obs::obs_debug!("distinct: {n_in} in, {n_out} out, {shuffled} shuffled");
-        out
-    }
-}
-
-impl<T: Send + Ord> Pdd<T> {
-    /// The `k` smallest records under `Ord` — Spark's `takeOrdered`:
-    /// per-partition top-k, then a driver-side merge, so no full shuffle.
-    pub fn take_ordered(&self, k: usize) -> Vec<T>
-    where
-        T: Clone + Sync,
-    {
-        let op = self.tasks.next_op();
-        let tasks = self.tasks.clone();
-        let mut parts: Vec<(&Vec<T>, Vec<T>)> =
-            self.partitions.iter().map(|p| (p, Vec::new())).collect();
-        self.pool.for_each_partition(&mut parts, |p, slot| {
-            tasks.gate(op, p);
-            let (input, out) = (slot.0, &mut slot.1);
-            let mut local: Vec<T> = input.to_vec();
-            local.sort_unstable();
-            local.truncate(k);
-            *out = local;
-        });
-        let mut merged: Vec<T> = parts.into_iter().flat_map(|s| s.1).collect();
-        merged.sort_unstable();
-        merged.truncate(k);
-        self.metrics.record("take_ordered", self.count(), merged.len() as u64, 0);
-        merged
-    }
-}
-
-impl<K, V> Pdd<(K, V)>
-where
-    K: Send + Hash + Eq + Clone + SpillCodec,
-    V: Send + SpillCodec,
-{
-    /// Hash-shuffles by key and groups values per key.
-    pub fn group_by_key(self) -> Pdd<(K, Vec<V>)> {
-        let n_in = self.count();
-        let nparts = self.partitions.len();
-        let op = self.tasks.next_op();
-        let tasks = self.tasks;
-        let (gathered, shuffled) =
-            hash_shuffle(&self.pool, &self.spill, self.partitions, |kv: &(K, V)| {
-                (hash_of(&kv.0) % nparts as u64) as usize
-            });
-        let parts = self.pool.map_partitions(gathered, |p, part| {
-            tasks.gate(op, p);
-            let mut acc: HashMap<K, Vec<V>> = HashMap::new();
-            for (k, v) in part {
-                acc.entry(k).or_default().push(v);
+        // Shuffle read: transpose, producers in order.
+        let mut gathered: Vec<Vec<T>> = Vec::new();
+        gathered.resize_with(nparts, Vec::new);
+        for producer in bucketed {
+            for (b, bucket) in producer.into_iter().enumerate() {
+                gathered[b].extend(bucket);
             }
-            acc.into_iter().collect::<Vec<(K, Vec<V>)>>()
-        });
-        let out = Pdd {
-            partitions: parts,
-            pool: self.pool,
-            metrics: self.metrics,
-            spill: self.spill,
-            tasks,
-        };
-        let n_out = out.count();
-        out.metrics.record("group_by_key", n_in, n_out, shuffled);
-        csb_obs::obs_debug!("group_by_key: {n_in} in, {n_out} keys, {shuffled} shuffled");
-        out
-    }
-
-    /// Inner hash join: pairs every value of a key on the left with every
-    /// value of that key on the right (the vertex-attribute join GraphX
-    /// performs when materializing triplets).
-    pub fn join<W>(self, right: Pdd<(K, W)>) -> Pdd<(K, (V, W))>
-    where
-        K: Sync,
-        V: Clone,
-        W: Send + Sync + Clone + SpillCodec,
-    {
-        let n_in = self.count() + right.count();
-        let left = self.group_by_key();
-        let shuffled_left = left.metrics().total_shuffled();
-        let right_grouped = right.group_by_key();
-        let mut rhs: HashMap<K, Vec<W>> = HashMap::new();
-        for (k, vs) in right_grouped.collect() {
-            rhs.insert(k, vs);
         }
-        let out = left.flat_map(move |(k, vs)| {
-            let mut pairs = Vec::new();
-            if let Some(ws) = rhs.get(&k) {
-                for v in &vs {
-                    for w in ws {
-                        pairs.push((k.clone(), (v.clone(), w.clone())));
-                    }
-                }
-            }
-            pairs
+        // Every record crosses the shuffle, then each partition dedups.
+        let out = self.driver.run_op("distinct", n_in, n_in, gathered, |_, part| {
+            let mut seen = HashSet::with_capacity(part.len());
+            part.into_iter().filter(|x| seen.insert(x.clone())).collect()
         });
-        let _ = shuffled_left;
-        out.metrics.record("join", n_in, out.count(), 0);
-        out
-    }
-
-    /// Hash-shuffles by key and reduces values per key.
-    pub fn reduce_by_key<F>(self, f: F) -> Pdd<(K, V)>
-    where
-        F: Fn(V, V) -> V + Send + Sync,
-    {
-        let n_in = self.count();
-        let nparts = self.partitions.len();
-        let op = self.tasks.next_op();
-        let tasks = self.tasks;
-        let (gathered, shuffled) =
-            hash_shuffle(&self.pool, &self.spill, self.partitions, |kv: &(K, V)| {
-                (hash_of(&kv.0) % nparts as u64) as usize
-            });
-        let parts = self.pool.map_partitions(gathered, |p, part| {
-            tasks.gate(op, p);
-            let mut acc: HashMap<K, V> = HashMap::with_capacity(part.len());
-            for (k, v) in part {
-                match acc.remove(&k) {
-                    Some(prev) => {
-                        let merged = f(prev, v);
-                        acc.insert(k, merged);
-                    }
-                    None => {
-                        acc.insert(k, v);
-                    }
-                }
-            }
-            acc.into_iter().collect::<Vec<(K, V)>>()
-        });
-        let out = Pdd {
-            partitions: parts,
-            pool: self.pool,
-            metrics: self.metrics,
-            spill: self.spill,
-            tasks,
-        };
-        let n_out = out.count();
-        out.metrics.record("reduce_by_key", n_in, n_out, shuffled);
-        csb_obs::obs_debug!("reduce_by_key: {n_in} in, {n_out} keys, {shuffled} shuffled");
+        csb_obs::obs_debug!("distinct: {n_in} in, {} out, {n_in} shuffled", out.count());
         out
     }
 }
@@ -662,49 +267,62 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rayon::ThreadPoolBuilder;
 
     fn pdd(data: Vec<u64>, parts: usize) -> Pdd<u64> {
-        Pdd::from_vec(data, parts, ThreadPool::new(4), JobMetrics::new())
+        Pdd::from_vec(data, parts, JobMetrics::new())
+    }
+
+    /// Runs `f` inside a rayon pool of `width` threads.
+    fn at_width<R: Send>(width: usize, f: impl FnOnce() -> R + Send) -> R {
+        ThreadPoolBuilder::new().num_threads(width).build().expect("pool").install(f)
+    }
+
+    #[test]
+    fn runner_visits_every_partition_once_in_order() {
+        for width in [1, 4] {
+            let out = at_width(width, || {
+                run_partitions((0..64u64).collect(), |p, x| x + p as u64 * 1000)
+            });
+            let expect: Vec<u64> = (0..64).map(|i| i + i * 1000).collect();
+            assert_eq!(out, expect, "width {width}");
+        }
+        let none = run_partitions(Vec::<u64>::new(), |_, _| panic!("no partitions"));
+        assert!(none.is_empty());
+    }
+
+    #[test]
+    fn runner_handles_uneven_work() {
+        let parts: Vec<Vec<u64>> =
+            (0..32).map(|i| if i % 7 == 0 { vec![0; 10_000] } else { vec![0; 10] }).collect();
+        let out = at_width(8, || {
+            run_partitions(parts, |_, mut part| {
+                for (j, x) in part.iter_mut().enumerate() {
+                    *x = j as u64;
+                }
+                part
+            })
+        });
+        assert!(out.iter().all(|p| p.iter().enumerate().all(|(j, &x)| x == j as u64)));
     }
 
     #[test]
     fn count_and_collect() {
         let d = pdd((0..100).collect(), 8);
         assert_eq!(d.count(), 100);
-        assert_eq!(d.num_partitions(), 8);
+        assert_eq!(d.partition_sizes().len(), 8);
         let mut all = d.collect();
         all.sort_unstable();
         assert_eq!(all, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
-    fn map_filter_flat_map() {
+    fn flat_map_expands_and_drops() {
         let d = pdd((0..10).collect(), 3);
-        let out = d.map(|x| x * 2).filter(|&x| x % 4 == 0).flat_map(|x| vec![x, x + 1]);
+        let out = d.flat_map(|x| if x % 2 == 0 { vec![x, x + 100] } else { vec![] });
         let mut all = out.collect();
         all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 4, 5, 8, 9, 12, 13, 16, 17]);
-    }
-
-    #[test]
-    fn sample_fraction_roughly_respected() {
-        let d = pdd((0..100_000).collect(), 8);
-        let s = d.sample(0.1, 42);
-        let n = s.count() as f64;
-        assert!((n - 10_000.0).abs() < 600.0, "sampled {n}");
-        // Deterministic given the seed.
-        let s2 = d.sample(0.1, 42);
-        assert_eq!(s.collect(), s2.collect());
-        // Different seeds differ.
-        let s3 = d.sample(0.1, 43);
-        assert_ne!(s3.count(), 0);
-    }
-
-    #[test]
-    fn sample_extremes() {
-        let d = pdd((0..1000).collect(), 4);
-        assert_eq!(d.sample(0.0, 1).count(), 0);
-        assert_eq!(d.sample(1.0, 1).count(), 1000);
+        assert_eq!(all, vec![0, 2, 4, 6, 8, 100, 102, 104, 106, 108]);
     }
 
     #[test]
@@ -722,7 +340,7 @@ mod tests {
     #[test]
     fn distinct_records_shuffle_metrics() {
         let m = JobMetrics::new();
-        let d = Pdd::from_vec(vec![1u64, 1, 2, 2, 3], 4, ThreadPool::new(2), m.clone());
+        let d = Pdd::from_vec(vec![1u64, 1, 2, 2, 3], 4, m.clone());
         let _ = d.distinct();
         let ops = m.ops();
         let distinct = ops.iter().find(|o| o.op == "distinct").expect("recorded");
@@ -732,10 +350,10 @@ mod tests {
     }
 
     #[test]
-    fn map_indexed_gives_unique_coordinates() {
+    fn flat_map_indexed_gives_unique_coordinates() {
         let d = pdd((0..100).collect(), 7);
-        let coords = d.map_indexed(|p, i, _| (p, i)).collect();
-        let set: std::collections::HashSet<_> = coords.iter().collect();
+        let coords = d.flat_map_indexed(|p, i, _| [(p, i)]).collect();
+        let set: HashSet<_> = coords.iter().collect();
         assert_eq!(set.len(), 100, "coordinates must be unique");
     }
 
@@ -762,6 +380,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fraction")]
+    fn bad_fraction_panics() {
+        let _ = pdd(vec![1], 1).sample_with_replacement(-0.5, 0);
+    }
+
+    #[test]
     fn union_concatenates() {
         let a = pdd(vec![1, 2, 3], 2);
         let b = pdd(vec![4, 5], 3);
@@ -771,148 +395,12 @@ mod tests {
     }
 
     #[test]
-    fn group_by_key_collects_all_values() {
-        let data: Vec<(u64, u64)> = (0..60).map(|i| (i % 6, i)).collect();
-        let d = Pdd::from_vec(data, 4, ThreadPool::new(3), JobMetrics::new());
-        let mut grouped = d.group_by_key().collect();
-        grouped.sort_unstable_by_key(|(k, _)| *k);
-        assert_eq!(grouped.len(), 6);
-        for (k, mut vs) in grouped {
-            vs.sort_unstable();
-            assert_eq!(vs.len(), 10);
-            assert!(vs.iter().all(|v| v % 6 == k));
-        }
-    }
-
-    #[test]
-    fn take_ordered_returns_global_minimums() {
-        let mut data: Vec<u64> = (0..1000).rev().collect();
-        data.push(3); // duplicate
-        let d = Pdd::from_vec(data, 8, ThreadPool::new(4), JobMetrics::new());
-        assert_eq!(d.take_ordered(5), vec![0, 1, 2, 3, 3]);
-        assert_eq!(d.take_ordered(0), Vec::<u64>::new());
-        // k larger than the dataset returns everything sorted.
-        let small = Pdd::from_vec(vec![3u64, 1, 2], 2, ThreadPool::new(2), JobMetrics::new());
-        assert_eq!(small.take_ordered(10), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn reduce_by_key_sums() {
-        let data: Vec<(u64, u64)> = (0..100).map(|i| (i % 10, 1u64)).collect();
-        let d = Pdd::from_vec(data, 5, ThreadPool::new(4), JobMetrics::new());
-        let mut out = d.reduce_by_key(|a, b| a + b).collect();
-        out.sort_unstable();
-        assert_eq!(out.len(), 10);
-        assert!(out.iter().all(|&(_, c)| c == 10));
-    }
-
-    #[test]
-    fn join_pairs_matching_keys() {
-        let left = Pdd::from_vec(
-            vec![(1u64, "a".to_string()), (1, "b".to_string()), (2, "c".to_string())],
-            3,
-            ThreadPool::new(2),
-            JobMetrics::new(),
-        );
-        let right = Pdd::from_vec(
-            vec![(1u64, 10u64), (2, 20), (2, 21), (3, 30)],
-            2,
-            ThreadPool::new(2),
-            JobMetrics::new(),
-        );
-        let mut out = left.join(right).collect();
-        out.sort_unstable_by_key(|(k, (v, w))| (*k, v.clone(), *w));
-        let expect: Vec<(u64, (String, u64))> = vec![
-            (1, ("a".to_string(), 10)),
-            (1, ("b".to_string(), 10)),
-            (2, ("c".to_string(), 20)),
-            (2, ("c".to_string(), 21)),
-        ];
-        assert_eq!(out, expect);
-    }
-
-    #[test]
     fn empty_dataset_operations() {
-        let d: Pdd<u64> = Pdd::empty(4, ThreadPool::new(2), JobMetrics::new());
+        let d: Pdd<u64> = Pdd::empty(4, JobMetrics::new());
         assert_eq!(d.count(), 0);
-        let d = d.map(|x| x + 1).filter(|_| true);
+        let d = d.flat_map(|x| [x + 1]);
         assert_eq!(d.count(), 0);
         assert_eq!(d.distinct().count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn bad_fraction_panics() {
-        let d = pdd(vec![1], 1);
-        let _ = d.sample(1.5, 0);
-    }
-
-    /// Forces every shuffle through disk.
-    fn always_spill() -> SpillConfig {
-        SpillConfig { budget_bytes: 0, ..SpillConfig::default() }
-    }
-
-    #[test]
-    fn distinct_is_identical_with_and_without_spill() {
-        let mut data: Vec<u64> = (0..2000).map(|i| i % 700).collect();
-        data.extend(0..100);
-        let in_mem = pdd(data.clone(), 8).distinct().collect();
-        let spilled = pdd(data, 8).with_spill(always_spill()).distinct().collect();
-        assert_eq!(in_mem, spilled, "spill must not change results or their order");
-    }
-
-    #[test]
-    fn group_by_key_is_identical_with_and_without_spill() {
-        let data: Vec<(u64, u64)> = (0..500).map(|i| (i % 17, i)).collect();
-        let make = || Pdd::from_vec(data.clone(), 6, ThreadPool::new(3), JobMetrics::new());
-        let mut in_mem = make().group_by_key().collect();
-        let mut spilled = make().with_spill(always_spill()).group_by_key().collect();
-        in_mem.sort_unstable();
-        spilled.sort_unstable();
-        assert_eq!(in_mem, spilled);
-    }
-
-    #[test]
-    fn reduce_by_key_is_identical_with_and_without_spill() {
-        let data: Vec<(u64, u64)> = (0..300).map(|i| (i % 11, 1)).collect();
-        let make = || Pdd::from_vec(data.clone(), 4, ThreadPool::new(2), JobMetrics::new());
-        let mut in_mem = make().reduce_by_key(|a, b| a + b).collect();
-        let mut spilled = make().with_spill(always_spill()).reduce_by_key(|a, b| a + b).collect();
-        in_mem.sort_unstable();
-        spilled.sort_unstable();
-        assert_eq!(in_mem, spilled);
-    }
-
-    #[test]
-    fn spilled_shuffle_reports_the_same_metrics() {
-        let data: Vec<u64> = vec![1, 1, 2, 2, 3];
-        let m = JobMetrics::new();
-        let d = Pdd::from_vec(data, 4, ThreadPool::new(2), m.clone()).with_spill(always_spill());
-        let _ = d.distinct();
-        let distinct = m.ops().into_iter().find(|o| o.op == "distinct").expect("recorded");
-        assert_eq!(distinct.records_in, 5);
-        assert_eq!(distinct.records_out, 3);
-        assert_eq!(distinct.shuffled, 5, "spilled shuffle must count like the in-memory one");
-    }
-
-    #[test]
-    fn spill_emits_span_and_counter() {
-        let _guard = csb_obs::span::test_lock();
-        csb_obs::reset();
-        csb_obs::enable();
-        let d = pdd((0..100).collect(), 4).with_spill(always_spill());
-        let _ = d.distinct();
-        csb_obs::disable();
-        let spans = csb_obs::span::flush_spans();
-        assert!(
-            spans.iter().any(|s| s.name == "engine.spill"),
-            "spill must be visible as an engine.spill span"
-        );
-        let counters = csb_obs::snapshot_metrics().counters;
-        let get = |name: &str| counters.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v);
-        assert!(get("engine.spills") >= 1);
-        assert!(get("engine.spill_bytes_written") > 0);
-        assert!(get("engine.spill_bytes_read") > 0);
     }
 
     #[test]
@@ -925,27 +413,19 @@ mod tests {
             TaskPolicy::new(RetryPolicy { max_retries: 60, base_delay_ms: 0, max_delay_ms: 0 })
                 .with_fault(FaultConfig { failure_probability: 0.3, seed: 11 });
         let data: Vec<u64> = (0..5000).map(|i| i % 900).collect();
-        let clean = pdd(data.clone(), 8).map(|x| x * 3).filter(|x| x % 2 == 0).distinct().collect();
-        let faulty = pdd(data, 8)
-            .with_tasks(flaky)
-            .map(|x| x * 3)
-            .filter(|x| x % 2 == 0)
-            .distinct()
-            .collect();
+        let chain = |d: Pdd<u64>| {
+            d.flat_map(|x| (x % 2 == 0).then_some(x * 3))
+                .sample_with_replacement(1.5, 4)
+                .distinct()
+                .collect()
+        };
+        let clean = chain(pdd(data.clone(), 8));
+        let faulty = chain(pdd(data, 8).with_tasks(flaky));
         csb_obs::disable();
         assert_eq!(clean, faulty, "injected faults must only delay tasks, never change data");
         let counters = csb_obs::snapshot_metrics().counters;
         let get = |name: &str| counters.iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v);
         assert!(get("engine.task_failures") > 0, "30% fault rate must trip at least once");
         assert!(get("engine.task_retries") > 0, "failed tasks must be retried");
-    }
-
-    #[test]
-    fn spill_budget_gate_uses_bytes_per_record() {
-        let spill =
-            SpillConfig { budget_bytes: 480, bytes_per_record: 48.0, ..SpillConfig::default() };
-        assert!(!spill.should_spill(10), "exactly at budget stays in memory");
-        assert!(spill.should_spill(11));
-        assert!(!SpillConfig::default().should_spill(1 << 40), "default budget never spills");
     }
 }

@@ -6,9 +6,9 @@
 //! Two cooperating layers:
 //!
 //! * **Real execution** — [`Pdd`] ("partitioned distributed dataset", the
-//!   RDD analogue) runs `map` / `flat_map` / `filter` / `sample` /
-//!   `distinct` / `reduce_by_key` operators over real partitions on a real
-//!   thread pool ([`executor`]). The distributed generator implementations in
+//!   RDD analogue) runs `flat_map` / `flat_map_indexed` /
+//!   `sample_with_replacement` / `union` / `distinct` over real partitions
+//!   on the rayon pool. The distributed generator implementations in
 //!   `csb-core` run on this layer, so their output is *actual data*,
 //!   verifiable against the in-process reference implementations.
 //! * **Simulated platform** — [`cluster::ClusterConfig`] describes a cluster
@@ -23,15 +23,13 @@
 pub mod cluster;
 pub mod costmodel;
 pub mod dataset;
-pub mod executor;
 pub mod metrics;
 pub mod retry;
 pub mod sim;
 
 pub use cluster::ClusterConfig;
 pub use costmodel::CostModel;
-pub use dataset::{Pdd, SpillConfig};
-pub use executor::ThreadPool;
+pub use dataset::Pdd;
 pub use metrics::JobMetrics;
 pub use retry::{FaultConfig, RetryPolicy, TaskPolicy};
 pub use sim::{SimCluster, SimReport};

@@ -150,8 +150,7 @@ impl TaskPolicy {
     ///
     /// # Panics
     /// Panics when the retry budget is exhausted — inside the infallible
-    /// `Pdd` operators there is no error channel, matching how shuffle-spill
-    /// I/O failures are handled.
+    /// `Pdd` operators there is no error channel.
     pub fn gate(&self, op: u64, partition: usize) {
         let Some(fault) = self.fault else { return };
         let task_seed = derive_seed(fault.seed, (op << 20) | partition as u64);

@@ -1,82 +1,114 @@
 //! Property-based tests: every `Pdd` operator must agree with the obvious
-//! sequential `Vec` reference implementation, regardless of partitioning
-//! and thread count.
+//! sequential `Vec` / `HashSet` reference, regardless of partitioning and of
+//! the width of the rayon pool it runs in.
 
-use csb_engine::{JobMetrics, Pdd, ThreadPool};
+use csb_engine::{JobMetrics, Pdd};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-fn pdd(data: Vec<u64>, parts: usize, threads: usize) -> Pdd<u64> {
-    Pdd::from_vec(data, parts, ThreadPool::new(threads), JobMetrics::new())
+/// Pool widths every property is checked at: no parallelism, and more
+/// threads than most generated datasets have partitions.
+const WIDTHS: [usize; 2] = [1, 4];
+
+fn pdd(data: Vec<u64>, parts: usize) -> Pdd<u64> {
+    Pdd::from_vec(data, parts, JobMetrics::new())
+}
+
+/// Runs `f` inside a rayon pool of `width` threads.
+fn at_width<R: Send>(width: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new().num_threads(width).build().expect("pool").install(f)
+}
+
+fn sorted(mut v: Vec<u64>) -> Vec<u64> {
+    v.sort_unstable();
+    v
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// map/filter/flat_map match Vec semantics up to ordering.
+    /// flat_map matches Vec semantics up to ordering, whether it expands a
+    /// record or drops it.
     #[test]
-    fn map_filter_flatmap_match_vec(
+    fn flat_map_matches_vec(
         data in prop::collection::vec(0u64..1000, 0..300),
         parts in 1usize..9,
-        threads in 1usize..5,
     ) {
-        let reference: Vec<u64> = data
-            .iter()
-            .map(|x| x * 3)
-            .filter(|x| x % 2 == 0)
-            .flat_map(|x| [x, x + 1])
-            .collect();
-        let mut expected = reference;
-        expected.sort_unstable();
-
-        let mut got = pdd(data, parts, threads)
-            .map(|x| x * 3)
-            .filter(|x| x % 2 == 0)
-            .flat_map(|x| [x, x + 1])
-            .collect();
-        got.sort_unstable();
-        prop_assert_eq!(got, expected);
+        let f = |x: u64| (x >= 300).then_some([x * 3, x * 3 + 1]).into_iter().flatten();
+        let expected = sorted(data.iter().copied().flat_map(f).collect());
+        for width in WIDTHS {
+            let got = at_width(width, || pdd(data.clone(), parts).flat_map(f).collect());
+            prop_assert_eq!(sorted(got), expected.clone(), "width {}", width);
+        }
     }
 
-    /// distinct matches HashSet semantics.
+    /// flat_map_indexed hands every record its own (partition, index)
+    /// coordinate, and the coordinates are those of round-robin dealing.
+    #[test]
+    fn flat_map_indexed_coordinates_are_the_round_robin_deal(
+        data in prop::collection::vec(0u64..1000, 0..300),
+        parts in 1usize..9,
+    ) {
+        let expected: Vec<(usize, usize, u64)> =
+            data.iter().enumerate().map(|(n, &x)| (n % parts, n / parts, x)).collect();
+        for width in WIDTHS {
+            let mut got = at_width(width, || {
+                Pdd::from_vec(data.clone(), parts, JobMetrics::new())
+                    .flat_map_indexed(|p, i, x| [(p, i, x)])
+                    .collect()
+            });
+            got.sort_unstable_by_key(|&(p, i, _)| i * parts + p);
+            prop_assert_eq!(&got, &expected, "width {}", width);
+        }
+    }
+
+    /// union keeps the multiset of both sides.
+    #[test]
+    fn union_matches_concatenation(
+        left in prop::collection::vec(0u64..1000, 0..200),
+        right in prop::collection::vec(0u64..1000, 0..200),
+        p1 in 1usize..9,
+        p2 in 1usize..9,
+    ) {
+        let expected = sorted(left.iter().chain(&right).copied().collect());
+        let got = pdd(left, p1).union(pdd(right, p2)).collect();
+        prop_assert_eq!(sorted(got), expected);
+    }
+
+    /// distinct matches HashSet semantics, with nothing left duplicated.
     #[test]
     fn distinct_matches_set(
         data in prop::collection::vec(0u64..50, 0..400),
         parts in 1usize..9,
     ) {
         let expected: HashSet<u64> = data.iter().copied().collect();
-        let got: HashSet<u64> = pdd(data, parts, 4).distinct().collect().into_iter().collect();
-        prop_assert_eq!(got, expected);
-    }
-
-    /// reduce_by_key matches a HashMap fold.
-    #[test]
-    fn reduce_by_key_matches_map(
-        data in prop::collection::vec((0u64..10, 1u64..100), 0..300),
-        parts in 1usize..9,
-    ) {
-        let mut expected = std::collections::HashMap::new();
-        for &(k, v) in &data {
-            *expected.entry(k).or_insert(0u64) += v;
+        for width in WIDTHS {
+            let got = at_width(width, || pdd(data.clone(), parts).distinct().collect());
+            prop_assert_eq!(got.len(), expected.len(), "width {}", width);
+            prop_assert_eq!(got.into_iter().collect::<HashSet<u64>>(), expected.clone());
         }
-        let d = Pdd::from_vec(data, parts, ThreadPool::new(4), JobMetrics::new());
-        let got: std::collections::HashMap<u64, u64> =
-            d.reduce_by_key(|a, b| a + b).collect().into_iter().collect();
-        prop_assert_eq!(got, expected);
     }
 
-    /// take_ordered matches sort + truncate.
+    /// sample_with_replacement is a function of (seed, partitioning) alone:
+    /// the same records in the same order at every pool width, drawn only
+    /// from the input.
     #[test]
-    fn take_ordered_matches_sort(
-        data in prop::collection::vec(0u64..10_000, 0..300),
+    fn sample_with_replacement_is_the_same_at_every_width(
+        data in prop::collection::vec(0u64..1000, 0..300),
         parts in 1usize..9,
-        k in 0usize..20,
+        seed in any::<u64>(),
+        fraction in 0.0f64..3.0,
     ) {
-        let mut expected = data.clone();
-        expected.sort_unstable();
-        expected.truncate(k);
-        let got = pdd(data, parts, 4).take_ordered(k);
-        prop_assert_eq!(got, expected);
+        let sample = |width| {
+            at_width(width, || {
+                pdd(data.clone(), parts).sample_with_replacement(fraction, seed).collect()
+            })
+        };
+        let narrow = sample(1);
+        prop_assert_eq!(&narrow, &sample(1), "same seed, same sample");
+        prop_assert_eq!(&narrow, &sample(4), "pool width must not reach the sample");
+        let universe: HashSet<u64> = data.iter().copied().collect();
+        prop_assert!(narrow.iter().all(|x| universe.contains(x)));
     }
 
     /// Partition count never changes the multiset of records.
@@ -86,10 +118,8 @@ proptest! {
         p1 in 1usize..9,
         p2 in 1usize..9,
     ) {
-        let mut a = pdd(data.clone(), p1, 2).map(|x| x ^ 7).collect();
-        let mut b = pdd(data, p2, 4).map(|x| x ^ 7).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
+        let a = pdd(data.clone(), p1).flat_map(|x| [x ^ 7]).collect();
+        let b = pdd(data, p2).flat_map(|x| [x ^ 7]).collect();
+        prop_assert_eq!(sorted(a), sorted(b));
     }
 }

@@ -300,8 +300,7 @@ fn run_job(shared: &Shared, record: &JobRecord) -> RunOutcome {
                     read_graph(f)
                         .map_err(|e| (format!("seed graph {}: {e}", seed_graph.display()), false))
                 })?;
-            let analysis = csb_core::analysis::SeedAnalysis::of(&graph);
-            let bundle = SeedBundle { graph, analysis };
+            let bundle = SeedBundle::from_graph(graph).map_err(fail)?;
             let out = shared.spool.out_path(&record.id);
             let ckpt = shared.spool.ckpt_dir(&record.id);
             let job_rec = Recorder::new();

@@ -36,6 +36,20 @@ fn write_seed_graph(path: &Path) {
     std::fs::write(path, s).expect("write seed graph");
 }
 
+/// A 4000-edge PGPBA job grown from the seed graph file at `seed_graph`.
+fn pgpba_job(seed_graph: PathBuf) -> csb_serve::JobSpec {
+    csb_serve::JobSpec::Generate {
+        algorithm: csb_serve::Algorithm::Pgpba,
+        seed_graph,
+        size: 4000,
+        fraction: 0.1,
+        seed: 7,
+        shards: 0,
+        columnar: false,
+        chunk_records: Some(512),
+    }
+}
+
 fn read_reply(stream: &mut TcpStream) -> String {
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut line = String::new();
@@ -129,19 +143,22 @@ fn hostile_input_never_wedges_the_daemon() {
         assert!(reply.contains("\"ok\":false") && reply.contains("fraction"), "{reply}");
     }
 
-    // After all that abuse a real job still runs to completion.
     let mut client = Client::connect(addr).expect("client connect");
     assert_eq!(client.ping().expect("ping"), u64::from(csb_serve::PROTO_VERSION));
-    let spec = csb_serve::JobSpec::Generate {
-        algorithm: csb_serve::Algorithm::Pgpba,
-        seed_graph: seed,
-        size: 4000,
-        fraction: 0.1,
-        seed: 7,
-        shards: 0,
-        columnar: false,
-        chunk_records: Some(512),
-    };
+
+    // A well-formed seed file with vertices and no edges passes the door
+    // (only a worker parses it): its job fails with the reason, and the job
+    // below still finds the single worker alive.
+    let edgeless = root.join("edgeless.graph");
+    std::fs::write(&edgeless, "# csb-graph v1\nv\t0\t167772161\nv\t1\t167772162\n").unwrap();
+    let job = client.submit(&pgpba_job(edgeless), csb_serve::Priority::Normal).expect("submit");
+    let failed = client.result_wait(&job, Duration::from_secs(30)).expect("job ends");
+    assert_eq!(failed.get("state").and_then(|v| v.as_str()), Some("failed"), "{failed:?}");
+    let error = failed.get("error").and_then(|v| v.as_str()).unwrap_or_default();
+    assert!(error.contains("no edges"), "{failed:?}");
+
+    // After all that abuse a real job still runs to completion.
+    let spec = pgpba_job(seed);
     let job = client.submit(&spec, csb_serve::Priority::Normal).expect("submit");
     let done = client.result_wait(&job, Duration::from_secs(120)).expect("job finishes");
     assert_eq!(done.get("state").and_then(|v| v.as_str()), Some("done"), "{done:?}");
@@ -152,16 +169,7 @@ fn hostile_input_never_wedges_the_daemon() {
 
     // Submitting a nonexistent seed path is rejected up front, not on a
     // worker minutes later.
-    let bad = csb_serve::JobSpec::Generate {
-        algorithm: csb_serve::Algorithm::Pgpba,
-        seed_graph: root.join("no-such-seed.graph"),
-        size: 4000,
-        fraction: 0.1,
-        seed: 7,
-        shards: 0,
-        columnar: false,
-        chunk_records: None,
-    };
+    let bad = pgpba_job(root.join("no-such-seed.graph"));
     let err = client.submit(&bad, csb_serve::Priority::Normal).expect_err("must reject");
     assert!(err.to_string().contains("not a file"), "{err}");
 

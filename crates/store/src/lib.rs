@@ -1,14 +1,13 @@
 //! # csb-store
 //!
 //! The storage layer of the suite: a chunked, columnar, little-endian binary
-//! format for property graphs and NetFlow records, plus the spill files that
-//! back `csb-engine`'s out-of-core shuffles.
+//! format for property graphs and NetFlow records.
 //!
 //! The paper's generators run on Spark precisely because their targets
 //! (2x10^10 edges) exceed one node's memory; this crate is the moral
-//! equivalent of Spark's saved RDDs and shuffle files for our single-node
-//! reproduction. One picture covers the write path — **record schema →
-//! re-chunker → layout** — and the read path is its mirror:
+//! equivalent of Spark's saved RDDs for our single-node reproduction. One
+//! picture covers the write path — **record schema → re-chunker → layout** —
+//! and the read path is its mirror:
 //!
 //! * [`format`] — the chunk format (fixed-width columns, per-chunk CRC32,
 //!   trailing footer index) and the [`format::Record`] trait: a record kind
@@ -19,7 +18,6 @@
 //!   barriers let a killed run resume byte-identically.
 //! * [`read`] / [`ooc`] — readers, column projection and out-of-core scans;
 //!   a plain file reads as a one-shard set.
-//! * [`spill`] — bucketed spill files backing `csb-engine` shuffles.
 //! * [`error`] — [`error::CsbError`], the suite-wide error enum with a
 //!   transient/fatal classification the retry layer keys off.
 //!
@@ -47,7 +45,6 @@ pub mod ooc;
 pub mod read;
 pub mod shard;
 pub mod sink;
-pub mod spill;
 pub mod write;
 
 pub use checkpoint::{CheckpointIdentity, CheckpointManifest, CheckpointedLayout};
@@ -64,5 +61,4 @@ pub use sink::{
     load_flows, load_graph, load_labeled_flows, push_graph, save_flows, save_graph, save_graph_to,
     save_labeled_flows, EdgeSink, Layout, MemoryGraphSink, StoreSink,
 };
-pub use spill::{SpillCodec, SpillFile, SpillWriter};
 pub use write::StoreWriter;

@@ -18,7 +18,7 @@
 //! * [`workloads`] — the benchmark's query workloads (node / edge / path /
 //!   sub-graph).
 //! * [`store`] — the chunked columnar binary store for graphs and flows,
-//!   with streaming sinks and the spill primitives the engine shuffles use.
+//!   with streaming sinks.
 //! * [`obs`] — zero-dependency spans, metrics, and trace/metrics exporters.
 
 pub use csb_core as gen;
