@@ -1444,6 +1444,18 @@ mod tests {
         ]))
         .expect_err("bad damping");
         assert!(err.to_string().contains("damping"), "got: {err}");
+        // `nan` parses as an f64; it must be refused, not panic mid-score.
+        let err = run(&args(&[
+            "veracity",
+            "--seed-graph",
+            &seed_path,
+            "--synthetic",
+            &synth_path,
+            "--damping",
+            "nan",
+        ]))
+        .expect_err("NaN damping");
+        assert!(err.to_string().contains("damping"), "got: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -463,13 +463,16 @@ impl<'a> VeracityJob<'a> {
 
     /// Scores every selected metric and returns the report.
     ///
-    /// Errors with [`CsbError::Config`] when a side is missing or the cache
-    /// budget is malformed; store inputs surface their I/O and corruption
-    /// errors.
+    /// Errors with [`CsbError::Config`] when a side is missing, a PageRank
+    /// parameter is out of range or the cache budget is malformed; store
+    /// inputs surface their I/O and corruption errors.
     pub fn run(self) -> Result<VeracityReport, CsbError> {
         let VeracityJob { seed, synthetic, metrics, pagerank, spectral, scan_cache_mb, recorder } =
             self;
         let _scope = recorder.map(|r| r.install());
+        // Before a side is opened: the knobs arrive from flags, and a NaN
+        // damping would otherwise surface as a panic inside the distance.
+        pagerank.check().map_err(CsbError::Config)?;
         let _span = csb_obs::span_cat("core.veracity_job", "veracity");
         let env = match std::env::var(SCAN_CACHE_ENV) {
             Ok(s) => Some(s),
@@ -777,6 +780,41 @@ mod tests {
             VeracityJob::new().seed_graph(&seed.graph).run(),
             Err(CsbError::Config(_))
         ));
+    }
+
+    #[test]
+    fn out_of_range_pagerank_parameters_are_config_errors() {
+        let seed = small_seed();
+        let run = |cfg: PageRankConfig| {
+            VeracityJob::new()
+                .seed_graph(&seed.graph)
+                .synthetic_graph(&seed.graph)
+                .pagerank_config(cfg)
+                .run()
+        };
+        let ok = PageRankConfig::default();
+        for (field, bad) in [
+            ("damping", PageRankConfig { damping: f64::NAN, ..ok }),
+            ("damping", PageRankConfig { damping: f64::INFINITY, ..ok }),
+            ("damping", PageRankConfig { damping: 1.5, ..ok }),
+            ("damping", PageRankConfig { damping: -3.0, ..ok }),
+            ("max_iters", PageRankConfig { max_iters: 0, ..ok }),
+            ("tolerance", PageRankConfig { tolerance: f64::NAN, ..ok }),
+            ("tolerance", PageRankConfig { tolerance: -1e-9, ..ok }),
+        ] {
+            match run(bad) {
+                Err(CsbError::Config(message)) => {
+                    assert!(message.contains(field), "{bad:?}: {message}")
+                }
+                other => panic!("{bad:?} must be a Config error, got {other:?}"),
+            }
+        }
+        // The edges of the range are valid and still score.
+        for good in
+            [ok, PageRankConfig { damping: 0.0, ..ok }, PageRankConfig { damping: 1.0, ..ok }]
+        {
+            assert_eq!(run(good).expect("valid config").score("pagerank"), Some(0.0));
+        }
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! never perturb generator output (the probes touch no RNG stream), and a
 //! disabled collector must cost no more than a relaxed atomic load per site.
 
-use csb_core::{pgpba, pgsk, seed_from_trace, GenJob, PgpbaConfig, PgskConfig, SeedBundle};
+use csb_core::{
+    pgpba, pgsk, seed_from_trace, GenJob, Metric, PgpbaConfig, PgskConfig, SeedBundle, VeracityJob,
+};
+use csb_graph::algo::SpectralConfig;
 use csb_graph::NetflowGraph;
 use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
 use std::time::{Duration, Instant};
@@ -112,5 +115,53 @@ fn disabled_collector_overhead_smoke() {
     assert!(
         disabled < enabled * 2 + Duration::from_millis(250),
         "disabled collector should be at least as fast: disabled {disabled:?} vs enabled {enabled:?}"
+    );
+}
+
+/// Spans say what ran: an in-memory veracity job does no out-of-core work,
+/// so it records nothing under the `ooc` category; the same job over two
+/// stores records the streaming sketch once a side and counts every edge
+/// scan its power iteration made.
+#[test]
+fn veracity_job_records_ooc_spans_only_over_stores() {
+    let seed = small_seed();
+    let synth = pgpba(&seed, &pgpba_cfg());
+
+    let rec = csb_obs::Recorder::new();
+    VeracityJob::new()
+        .seed_graph(&seed.graph)
+        .synthetic_graph(&synth)
+        .metrics(Metric::ALL)
+        .recorder(rec.clone())
+        .run()
+        .expect("in-memory job");
+    let spans = rec.flush_spans();
+    assert!(spans.iter().any(|s| s.name == "veracity.metric.spectral"), "the job was recorded");
+    let ooc: Vec<&str> = spans.iter().filter(|s| s.cat == "ooc").map(|s| s.name).collect();
+    assert!(ooc.is_empty(), "in-memory job recorded out-of-core spans: {ooc:?}");
+    assert_eq!(rec.snapshot_metrics().counter("ooc.spectral_matvecs").unwrap_or(0), 0);
+
+    let dir = std::env::temp_dir().join(format!("csb-obs-veracity-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (a, b) = (dir.join("seed.csb"), dir.join("synth.csb"));
+    csb_store::save_graph(&a, &seed.graph).expect("save seed");
+    csb_store::save_graph(&b, &synth).expect("save synth");
+    let rec = csb_obs::Recorder::new();
+    VeracityJob::new()
+        .seed_store(&a)
+        .synthetic_store(&b)
+        .metrics(Metric::ALL)
+        .recorder(rec.clone())
+        .run()
+        .expect("store job");
+    std::fs::remove_dir_all(&dir).ok();
+    let sketches = rec.flush_spans().iter().filter(|s| s.name == "ooc.spectral").count();
+    assert_eq!(sketches, 2, "one streaming sketch a side");
+    let cfg = SpectralConfig::default();
+    let matvecs =
+        |g: &NetflowGraph| (cfg.eigenvalues.min(g.vertex_count()) * (cfg.iterations + 1)) as u64;
+    assert_eq!(
+        rec.snapshot_metrics().counter("ooc.spectral_matvecs"),
+        Some(matvecs(&seed.graph) + matvecs(&synth))
     );
 }

@@ -80,6 +80,24 @@ impl Default for PageRankConfig {
     }
 }
 
+impl PageRankConfig {
+    /// Checks parameters: `damping` in [0, 1], a finite `tolerance >= 0` (a
+    /// NaN would never stop the loop early) and at least one iteration. The
+    /// error names the offending field and its value.
+    pub fn check(&self) -> Result<(), String> {
+        if !(0.0..=1.0).contains(&self.damping) {
+            return Err(format!("damping must be in [0, 1], got {}", self.damping));
+        }
+        if !(self.tolerance >= 0.0 && self.tolerance.is_finite()) {
+            return Err(format!("tolerance must be finite and >= 0, got {}", self.tolerance));
+        }
+        if self.max_iters == 0 {
+            return Err("max_iters must be at least 1, got 0".into());
+        }
+        Ok(())
+    }
+}
+
 /// Computes PageRank; returns one score per vertex, summing to 1.
 ///
 /// Returns an empty vector for an empty graph.

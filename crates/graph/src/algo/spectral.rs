@@ -12,20 +12,25 @@
 //!
 //! **Determinism.** The sketch is a pure function of the logical graph:
 //! start vectors come from a fixed splitmix64 stream (no RNG state), the
-//! iteration count is fixed (no data-dependent early exit), every dot
+//! iteration count is fixed (no data-dependent early exit) and every dot
 //! product / norm uses the fixed-block deterministic reductions shared with
-//! PageRank, and the per-edge matvec scatters destination-blocked exactly
-//! like the OOC PageRank kernel — so each slot's accumulation order, and
-//! every bit of the result, is independent of batch width and thread count.
-//! That makes the in-memory wrapper ([`spectral_sketch`]) and the streaming
-//! kernel ([`spectral_sketch_ooc`]) bit-for-bit identical by construction,
-//! and the conformance suite checks the non-trivial half: store bytes
-//! replayed at any chunking reproduce the in-memory sketch.
+//! PageRank. The two entry points run one power iteration
+//! (`deflated_power_iteration`) and differ only in the matvec it is handed:
+//! [`spectral_sketch_ooc`] scatters each edge's two contributions serially,
+//! in stream order; [`spectral_sketch`] pulls each row of
+//! [`Csr::undirected_of`] on the pool. The index is a stable counting sort,
+//! so a row lists its contributions in stream order, and `w[s] * w[d]`
+//! commutes exactly — each slot sees the same subtractions in the same order
+//! either way, for any batch width and thread count. The conformance suite
+//! (`tests/ooc_conformance.rs`) proves the pair bit-for-bit, as it does for
+//! PageRank's scatter and pull.
 
 use crate::algo::pagerank::blocked_dot;
-use crate::graph::PropertyGraph;
-use crate::ooc::{degree_counts_ooc, note_peak_scratch, EdgeScan, GraphScan, SCATTER_MIN_VERTICES};
+use crate::csr::Csr;
+use crate::graph::{PropertyGraph, VertexId};
+use crate::ooc::{degree_counts_ooc, note_peak_scratch, EdgeScan};
 use rayon::prelude::*;
+use std::convert::Infallible;
 
 /// Spectral sketch parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,41 +68,26 @@ fn start_vector(n: usize, seed: u64, j: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Applies the normalized-adjacency subtraction of one batch: for each edge,
-/// `y[d] -= c * x[s]` then `y[s] -= c * x[d]` with `c = w[s] * w[d]`. The
-/// parallel path partitions destinations into blocks exactly like the OOC
-/// PageRank scatter, preserving each slot's sequential accumulation order.
+/// `1 / sqrt(deg)` per vertex, zero for isolated ones: the `D^-1/2` of the
+/// normalized adjacency.
+fn inv_sqrt_degrees(deg: impl Iterator<Item = u64>) -> Vec<f64> {
+    deg.map(|d| if d > 0 { 1.0 / (d as f64).sqrt() } else { 0.0 }).collect()
+}
+
+/// Applies the normalized-adjacency subtraction of one batch, serially and
+/// in stream order: for each edge, `y[d] -= c * x[s]` then `y[s] -= c * x[d]`
+/// with `c = w[s] * w[d]`.
 fn scatter_sym(y: &mut [f64], x: &[f64], w: &[f64], src: &[u32], dst: &[u32]) {
-    let n = y.len();
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || n < SCATTER_MIN_VERTICES {
-        for (&s, &d) in src.iter().zip(dst) {
-            let (s, d) = (s as usize, d as usize);
-            let c = w[s] * w[d];
-            y[d] -= c * x[s];
-            y[s] -= c * x[d];
-        }
-        return;
+    for (&s, &d) in src.iter().zip(dst) {
+        let (s, d) = (s as usize, d as usize);
+        let c = w[s] * w[d];
+        y[d] -= c * x[s];
+        y[s] -= c * x[d];
     }
-    let block = n.div_ceil(2 * threads).max(1);
-    y.par_chunks_mut(block).enumerate().for_each(|(bi, slots)| {
-        let lo = bi * block;
-        let hi = lo + slots.len();
-        for (&s, &d) in src.iter().zip(dst) {
-            let (s, d) = (s as usize, d as usize);
-            let c = w[s] * w[d];
-            if (lo..hi).contains(&d) {
-                slots[d - lo] -= c * x[s];
-            }
-            if (lo..hi).contains(&s) {
-                slots[s - lo] -= c * x[d];
-            }
-        }
-    });
 }
 
 /// One Laplacian matvec `y = x - S x` over the edge stream.
-fn lap_matvec<S: EdgeScan>(
+fn lap_matvec_scan<S: EdgeScan>(
     scan: &mut S,
     x: &[f64],
     w: &[f64],
@@ -108,6 +98,19 @@ fn lap_matvec<S: EdgeScan>(
     scan.scan_edges(&mut |src, dst| scatter_sym(y, x, w, src, dst))?;
     csb_obs::metrics::counter_add("ooc.spectral_matvecs", 1);
     Ok(())
+}
+
+/// The same matvec pulled from the undirected index: slot `v` starts at
+/// `x[v]` and subtracts its row's contributions in row (= stream) order —
+/// the sequence [`scatter_sym`] applies to it, one slot per pool task.
+fn lap_matvec_pull(adj: &Csr, x: &[f64], w: &[f64], y: &mut [f64]) {
+    y.par_iter_mut().enumerate().for_each(|(v, slot)| {
+        let mut acc = x[v];
+        for &u in adj.neighbors(VertexId(v as u32)) {
+            acc -= (w[v] * w[u as usize]) * x[u as usize];
+        }
+        *slot = acc;
+    });
 }
 
 /// Projects `x` off `basis` (sequential Gram-Schmidt, deterministic blocked
@@ -126,27 +129,16 @@ fn orthonormalize(x: &mut [f64], basis: &[Vec<f64>]) -> bool {
     true
 }
 
-/// Streaming spectral sketch: the `cfg.eigenvalues` largest eigenvalues of
-/// the normalized Laplacian, descending (up to power-iteration accuracy),
-/// estimated with `iterations + 1` edge scans per eigenpair. Scratch is
-/// O(`eigenvalues` * vertices + batch).
-/// The result is sorted descending with a deterministic total order.
-pub fn spectral_sketch_ooc<S: EdgeScan>(
-    scan: &mut S,
+/// Deflated power iteration for the `cfg.eigenvalues` (capped at `n`)
+/// largest eigenvalues of the operator `matvec(x, y)` applies (`y = L x`) on
+/// `n`-vectors, sorted descending with a deterministic total order. Runs
+/// `cfg.iterations + 1` matvecs per eigenpair that stays alive.
+fn deflated_power_iteration<E>(
+    n: usize,
     cfg: &SpectralConfig,
-) -> Result<Vec<f64>, S::Error> {
-    let _span = csb_obs::span_cat("ooc.spectral", "ooc");
-    let n = scan.vertex_count()?;
+    mut matvec: impl FnMut(&[f64], &mut [f64]) -> Result<(), E>,
+) -> Result<Vec<f64>, E> {
     let k = cfg.eigenvalues.min(n);
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    let deg = {
-        let counts = degree_counts_ooc(scan)?;
-        counts.total()
-    };
-    let inv_sqrt: Vec<f64> =
-        deg.iter().map(|&d| if d > 0 { 1.0 / (d as f64).sqrt() } else { 0.0 }).collect();
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(k);
     let mut evals = Vec::with_capacity(k);
     let mut y = vec![0.0f64; n];
@@ -155,7 +147,7 @@ pub fn spectral_sketch_ooc<S: EdgeScan>(
         let mut alive = orthonormalize(&mut x, &basis);
         if alive {
             for _ in 0..cfg.iterations {
-                lap_matvec(scan, &x, &inv_sqrt, &mut y)?;
+                matvec(&x, &mut y)?;
                 std::mem::swap(&mut x, &mut y);
                 if !orthonormalize(&mut x, &basis) {
                     alive = false;
@@ -164,7 +156,7 @@ pub fn spectral_sketch_ooc<S: EdgeScan>(
             }
         }
         if alive {
-            lap_matvec(scan, &x, &inv_sqrt, &mut y)?;
+            matvec(&x, &mut y)?;
             evals.push(blocked_dot(&x, &y));
         } else {
             // The remaining subspace is numerically exhausted (start vector
@@ -178,15 +170,40 @@ pub fn spectral_sketch_ooc<S: EdgeScan>(
     // order; sort so the sketch is rank-aligned across graphs. total_cmp is
     // a deterministic total order, so this cannot break bit-exactness.
     evals.sort_unstable_by(|a: &f64, b: &f64| b.total_cmp(a));
-    note_peak_scratch(((k + 3) * n * 8) as u64 + scan.scratch_bytes());
     Ok(evals)
 }
 
-/// In-memory spectral sketch — defined as the streaming kernel applied to
-/// the graph's own edge stream, so the two are identical by construction.
+/// Streaming spectral sketch: the `cfg.eigenvalues` largest eigenvalues of
+/// the normalized Laplacian, descending (up to power-iteration accuracy),
+/// estimated with `iterations + 1` edge scans per eigenpair. Scratch is
+/// O(`eigenvalues` * vertices + batch).
+pub fn spectral_sketch_ooc<S: EdgeScan>(
+    scan: &mut S,
+    cfg: &SpectralConfig,
+) -> Result<Vec<f64>, S::Error> {
+    let _span = csb_obs::span_cat("ooc.spectral", "ooc");
+    let n = scan.vertex_count()?;
+    if cfg.eigenvalues.min(n) == 0 {
+        return Ok(Vec::new());
+    }
+    let w = inv_sqrt_degrees(degree_counts_ooc(scan)?.total().into_iter());
+    let evals = deflated_power_iteration(n, cfg, |x, y| lap_matvec_scan(scan, x, &w, y))?;
+    note_peak_scratch(((evals.len() + 3) * n * 8) as u64 + scan.scratch_bytes());
+    Ok(evals)
+}
+
+/// In-memory spectral sketch: the same power iteration over
+/// [`Csr::undirected_of`], one row per pool task — bit-for-bit the streaming
+/// kernel's result (see the module docs).
 pub fn spectral_sketch<V, E>(g: &PropertyGraph<V, E>, cfg: &SpectralConfig) -> Vec<f64> {
-    match spectral_sketch_ooc(&mut GraphScan::of(g), cfg) {
-        Ok(v) => v,
+    let adj = Csr::undirected_of(g);
+    let w = inv_sqrt_degrees(adj.offsets().windows(2).map(|o| (o[1] - o[0]) as u64));
+    let pulled = deflated_power_iteration(g.vertex_count(), cfg, |x, y| {
+        lap_matvec_pull(&adj, x, &w, y);
+        Ok::<(), Infallible>(())
+    });
+    match pulled {
+        Ok(evals) => evals,
         Err(e) => match e {},
     }
 }
@@ -194,7 +211,7 @@ pub fn spectral_sketch<V, E>(g: &PropertyGraph<V, E>, cfg: &SpectralConfig) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{PropertyGraph, VertexId};
+    use crate::ooc::GraphScan;
 
     fn graph(n: u32, edges: &[(u32, u32)]) -> PropertyGraph<(), ()> {
         let mut g = PropertyGraph::new();

@@ -1,8 +1,14 @@
 //! Compressed sparse row adjacency index.
 //!
 //! The flat edge list is ideal for PGPBA's edge sampling but poor for
-//! traversal; kernels (PageRank, BFS, Brandes) build a [`Csr`] first:
-//! `offsets[v]..offsets[v+1]` indexes `targets` with `v`'s out-neighbors.
+//! traversal; kernels (PageRank, BFS, Brandes, the spectral sketch) build a
+//! [`Csr`] first: `offsets[v]..offsets[v+1]` indexes `targets` with `v`'s
+//! neighbors in one orientation — out, in, or both ([`Csr::undirected_of`]).
+//!
+//! Every build is the same *stable* counting sort, so a row lists its
+//! neighbors in edge-stream order. That is what lets an in-memory kernel
+//! pull each row on the pool and still perform, per vertex, the exact
+//! floating-point sequence of the serial streaming scatter (`crate::ooc`).
 
 use crate::graph::{PropertyGraph, VertexId};
 use crate::ooc::EdgeScan;
@@ -18,12 +24,23 @@ pub struct Csr {
 impl Csr {
     /// Builds the *out*-adjacency of the graph.
     pub fn out_of<V, E>(g: &PropertyGraph<V, E>) -> Self {
-        Self::build(g.vertex_count(), g.edge_sources(), g.edge_targets())
+        Self::build(g.vertex_count(), edge_pairs(g))
     }
 
     /// Builds the *in*-adjacency (reverse edges) of the graph.
     pub fn in_of<V, E>(g: &PropertyGraph<V, E>) -> Self {
-        Self::build(g.vertex_count(), g.edge_targets(), g.edge_sources())
+        Self::build(g.vertex_count(), edge_pairs(g).map(|(s, d)| (d, s)))
+    }
+
+    /// Builds the *undirected multigraph* adjacency: every edge `(s, d)`, in
+    /// stream order, puts `s` into row `d` and then `d` into row `s`, so row
+    /// `v` is the stream filtered to the edges touching `v` and its length is
+    /// `v`'s total (in + out) degree. A self-loop lands twice in its own row
+    /// and repeated edges repeat — unlike clustering's sorted, deduplicated
+    /// [`UndirectedCsr`](crate::algo::clustering::UndirectedCsr).
+    /// [`Csr::edge_count`] is twice the graph's.
+    pub fn undirected_of<V, E>(g: &PropertyGraph<V, E>) -> Self {
+        Self::build(g.vertex_count(), edge_pairs(g).flat_map(|(s, d)| [(d, s), (s, d)]))
     }
 
     /// Builds the *out*-adjacency from a streamed edge list (e.g. a
@@ -87,21 +104,22 @@ impl Csr {
         Ok(Csr { offsets, targets })
     }
 
-    /// Counting-sort construction from parallel `from`/`to` arrays.
-    fn build(n: usize, from: &[VertexId], to: &[VertexId]) -> Self {
+    /// Stable counting sort of `(row, neighbor)` pairs: one pass counts, one
+    /// places, so each row keeps the order the pairs arrive in.
+    fn build(n: usize, pairs: impl Iterator<Item = (VertexId, VertexId)> + Clone) -> Self {
         let mut offsets = vec![0usize; n + 1];
-        for f in from {
-            offsets[f.index() + 1] += 1;
+        for (row, _) in pairs.clone() {
+            offsets[row.index() + 1] += 1;
         }
         for i in 1..=n {
             offsets[i] += offsets[i - 1];
         }
         let mut cursor = offsets.clone();
-        let mut targets = vec![0u32; from.len()];
-        for (f, t) in from.iter().zip(to.iter()) {
-            let slot = cursor[f.index()];
-            targets[slot] = t.0;
-            cursor[f.index()] += 1;
+        let mut targets = vec![0u32; offsets[n]];
+        for (row, neighbor) in pairs {
+            let slot = cursor[row.index()];
+            targets[slot] = neighbor.0;
+            cursor[row.index()] += 1;
         }
         Csr { offsets, targets }
     }
@@ -143,6 +161,13 @@ impl Csr {
     }
 }
 
+/// The graph's `(source, target)` pairs in edge-stream order.
+fn edge_pairs<V, E>(
+    g: &PropertyGraph<V, E>,
+) -> impl Iterator<Item = (VertexId, VertexId)> + Clone + '_ {
+    g.edge_sources().iter().copied().zip(g.edge_targets().iter().copied())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,6 +204,19 @@ mod tests {
         n1.sort_unstable();
         assert_eq!(n1, vec![0, 0]);
         assert_eq!(csr.neighbors(VertexId(0)), &[3]);
+    }
+
+    #[test]
+    fn undirected_rows_keep_stream_order() {
+        let mut g = sample();
+        g.add_edge(VertexId(1), VertexId(1), ()); // self-loop
+        let csr = Csr::undirected_of(&g);
+        assert_eq!(csr.edge_count(), 2 * g.edge_count());
+        // Stream: 0>1, 0>2, 0>1 (repeated), 2>3, 3>0, 1>1.
+        assert_eq!(csr.neighbors(VertexId(0)), &[1, 2, 1, 3]);
+        assert_eq!(csr.neighbors(VertexId(1)), &[0, 0, 1, 1]);
+        assert_eq!(csr.neighbors(VertexId(2)), &[0, 3]);
+        assert_eq!(csr.neighbors(VertexId(3)), &[2, 0]);
     }
 
     #[test]

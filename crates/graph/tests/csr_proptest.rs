@@ -88,6 +88,35 @@ proptest! {
         }
     }
 
+    /// The undirected index lists, per vertex, the stream filtered to the
+    /// edges touching it — `s`-side and `d`-side entries interleaved as they
+    /// occur, a self-loop twice — so a row is as long as the vertex's in +
+    /// out degree. This is the order the symmetric streaming scatter
+    /// subtracts in.
+    #[test]
+    fn undirected_rows_are_the_stream_filtered_by_vertex(
+        n in 1u32..32,
+        edges in prop::collection::vec((any::<u32>(), any::<u32>()), 0..300),
+    ) {
+        let g = graph_of(n, &edges);
+        let und = Csr::undirected_of(&g);
+        prop_assert_eq!(und.edge_count(), 2 * edges.len());
+        let (ind, outd) = (g.in_degrees(), g.out_degrees());
+        for v in 0..n {
+            let mut expected = Vec::new();
+            for (s, d) in edges.iter().map(|&(s, d)| (s % n, d % n)) {
+                if d == v {
+                    expected.push(s);
+                }
+                if s == v {
+                    expected.push(d);
+                }
+            }
+            prop_assert_eq!(und.neighbors(VertexId(v)), expected.as_slice());
+            prop_assert_eq!(und.degree(VertexId(v)) as u64, ind[v as usize] + outd[v as usize]);
+        }
+    }
+
     /// The external two-pass build over a batched stream reproduces the
     /// in-memory build exactly, for any batch width.
     #[test]

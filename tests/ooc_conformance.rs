@@ -9,7 +9,7 @@
 
 use csb::gen::{Metric, VeracityJob};
 use csb::graph::algo::pagerank::{pagerank, PageRankConfig};
-use csb::graph::algo::{degree_distribution, DegreeDistributions};
+use csb::graph::algo::{degree_distribution, DegreeDistributions, SpectralConfig};
 use csb::graph::ooc::{degree_distribution_ooc, pagerank_ooc, GraphScan};
 use csb::graph::{
     AssortativityMetric, ClusteringMetric, Csr, DegreeMetric, EdgeProperties, GraphMetric,
@@ -245,6 +245,92 @@ fn distribution_kernels_stay_within_the_scratch_bound_over_stores() {
     assert!(peak > 0, "the kernels never reported scratch");
     assert!(peak <= bound, "peak scratch {peak} B exceeds the O(V + chunk) bound {bound} B");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The size class the proptests (n < 60) never reach: ~21 k vertices, so
+/// every per-vertex vector spans six reduction blocks and the in-memory
+/// pulls split their rows over several pool parts, and 120 k edges drawn
+/// from a splitmix stream. Three hubs hold a third of all endpoints — rows
+/// of ~27 k entries — against a 1 000-vertex partner set, so the multigraph
+/// kernels see long rows of repeated edges while the simplified clustering
+/// adjacency stays small; the rest is uniform with self-loops and verbatim
+/// repeats mixed in, and the last thousand vertices are isolated.
+fn pool_scale_graph() -> NetflowGraph {
+    const ACTIVE: u64 = 20_000;
+    const ISOLATED: u32 = 1_000;
+    const HUBS: u64 = 3;
+    const PARTNERS: u64 = 1_000;
+    let mut state = 0x5EED_CA5Eu64;
+    let mut next = move || csb::stats::rng::splitmix64(&mut state);
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(120_000);
+    while edges.len() < 120_000 {
+        let edge = match next() % 30 {
+            // Two edges in three touch a hub, on either side.
+            0..=9 => ((next() % HUBS) as u32, (HUBS + next() % PARTNERS) as u32),
+            10..=19 => ((HUBS + next() % PARTNERS) as u32, (next() % HUBS) as u32),
+            20 => {
+                let v = (next() % ACTIVE) as u32;
+                (v, v)
+            }
+            21 if !edges.is_empty() => edges[(next() % edges.len() as u64) as usize],
+            _ => ((next() % ACTIVE) as u32, (next() % ACTIVE) as u32),
+        };
+        edges.push(edge);
+    }
+    graph_of(ACTIVE as u32 + ISOLATED, &edges)
+}
+
+/// Every metric's value vector as bits, after asserting that each scan
+/// reproduces the in-memory vector exactly.
+fn conforming_bits(
+    g: &NetflowGraph,
+    scans: &mut [StoreScan<Cursor<Vec<u8>>>],
+) -> Vec<(&'static str, Vec<u64>)> {
+    fn one<M: GraphMetric>(
+        metric: &M,
+        g: &NetflowGraph,
+        scans: &mut [StoreScan<Cursor<Vec<u8>>>],
+    ) -> (&'static str, Vec<u64>) {
+        let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let mem = bits(metric.compute(g));
+        for scan in scans.iter_mut() {
+            let ooc = bits(metric.compute_scan(scan).expect("ooc metric"));
+            assert!(mem == ooc, "{}: in-memory and streamed vectors differ", metric.name());
+        }
+        (metric.name(), mem)
+    }
+    // Bounded iteration counts keep a debug build to seconds; the vertex
+    // count is what this case is about.
+    let pagerank = PageRankConfig { max_iters: 12, ..PageRankConfig::default() };
+    let spectral = SpectralConfig { eigenvalues: 3, iterations: 6, ..SpectralConfig::default() };
+    vec![
+        one(&DegreeMetric, g, scans),
+        one(&PagerankMetric { cfg: pagerank }, g, scans),
+        one(&ClusteringMetric, g, scans),
+        one(&AssortativityMetric, g, scans),
+        one(&SpectralMetric { cfg: spectral }, g, scans),
+        one(&MmdDegreeMetric, g, scans),
+        one(&MmdPagerankMetric { cfg: pagerank }, g, scans),
+    ]
+}
+
+/// All seven metrics at pool scale: in memory against store scans at two
+/// chunk sizes, inside pools of width 1 and 4 — bit-equal to each other and
+/// across widths.
+#[test]
+fn metric_kernels_conform_at_pool_scale() {
+    let g = pool_scale_graph();
+    let hub_endpoints: u64 = (0..3).map(|v| g.in_degrees()[v] + g.out_degrees()[v]).sum();
+    assert!(hub_endpoints > 75_000, "hubs hold {hub_endpoints} of 240 000 endpoints");
+    let mut scans = [store_scan(&g, 1_000), store_scan(&g, 8_192)];
+    let per_width: Vec<_> = [1usize, 4]
+        .iter()
+        .map(|&threads| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            pool.install(|| conforming_bits(&g, &mut scans))
+        })
+        .collect();
+    assert!(per_width[0] == per_width[1], "a metric's bits depend on the pool width");
 }
 
 /// Boundary batchings the proptest strategy rarely lands on exactly:
