@@ -119,8 +119,9 @@ impl CampaignJob {
         self
     }
 
-    /// Flow-assembler worker count (default 1). Any count produces the same
-    /// labeled stream, bit for bit.
+    /// Flow-assembler partition count (default 1), run on the ambient rayon
+    /// pool. Any count, at any pool width, produces the same labeled stream,
+    /// bit for bit.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
         self
@@ -258,11 +259,39 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_stream() {
-        let base = small_job().run().expect("run").flows;
+        let dir = temp_dir("workers");
+        // One directory a run: a manifest names its shard files.
+        let sharded = |tag: &str| {
+            std::fs::create_dir_all(dir.join(tag)).expect("mkdir");
+            small_job()
+                .store(dir.join(tag).join("flows"))
+                .shards(3)
+                .compression(Compression::Columnar)
+                .chunk_records(64)
+        };
+        let base = sharded("base").run().expect("run").flows;
+        let mut runs = vec![];
         for workers in [2usize, 5] {
-            let flows = small_job().workers(workers).run().expect("run").flows;
-            assert_eq!(flows, base, "workers={workers} must match sequential");
+            let tag = format!("w{workers}");
+            runs.push((sharded(&tag).workers(workers).run().expect("run").flows, tag));
         }
+        // Part emission and partitioned assembly both run on the ambient
+        // pool: its width must be as invisible as the worker count.
+        for width in [1usize, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().expect("pool");
+            let tag = format!("pool{width}");
+            let job = sharded(&tag).workers(3);
+            runs.push((pool.install(|| job.run()).expect("run").flows, tag));
+        }
+        for (flows, tag) in runs {
+            assert_eq!(flows, base, "{tag} must match sequential");
+            for file in ["flows", "flows.s0", "flows.s1", "flows.s2"] {
+                let written = std::fs::read(dir.join(&tag).join(file)).expect("read run's file");
+                let expected = std::fs::read(dir.join("base").join(file)).expect("read base file");
+                assert!(written == expected, "{tag}/{file} differs from the sequential run's");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

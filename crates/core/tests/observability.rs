@@ -3,10 +3,12 @@
 //! disabled collector must cost no more than a relaxed atomic load per site.
 
 use csb_core::{
-    pgpba, pgsk, seed_from_trace, GenJob, Metric, PgpbaConfig, PgskConfig, SeedBundle, VeracityJob,
+    pgpba, pgsk, seed_from_trace, CampaignJob, GenJob, Metric, PgpbaConfig, PgskConfig, SeedBundle,
+    VeracityJob,
 };
 use csb_graph::algo::SpectralConfig;
 use csb_graph::NetflowGraph;
+use csb_net::traffic::campaign::CampaignConfig;
 use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
 use std::time::{Duration, Instant};
 
@@ -164,4 +166,49 @@ fn veracity_job_records_ooc_spans_only_over_stores() {
         rec.snapshot_metrics().counter("ooc.spectral_matvecs"),
         Some(matvecs(&seed.graph) + matvecs(&synth))
     );
+}
+
+/// A campaign job's telemetry says the same thing however its assembly is
+/// partitioned: the partition tasks run on pool threads, re-install the job's
+/// recorder there, and add up to the sequential counts.
+#[test]
+fn campaign_job_counts_the_same_at_every_worker_count() {
+    let _guard = csb_obs::span::test_lock();
+    csb_obs::disable();
+    csb_obs::reset();
+    let record = |workers: usize| {
+        let rec = csb_obs::Recorder::new();
+        let job = CampaignJob::new()
+            .duration_secs(20.0)
+            .sessions_per_sec(12.0)
+            .seed(5)
+            .campaign(CampaignConfig::kill_chain(1, 5, 2.0))
+            .workers(workers)
+            .recorder(rec.clone());
+        // Published rayon moves `install`'s closure to a pool thread, so the
+        // job must carry its recorder there itself.
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
+        let out = pool.install(|| job.run()).expect("run");
+        let spans = rec.flush_spans();
+        for name in ["traffic.generate", "campaignjob.run"] {
+            let times = spans.iter().filter(|s| s.name == name).count();
+            assert_eq!(times, 1, "{name} at workers={workers}");
+        }
+        let snap = rec.snapshot_metrics();
+        let counts = [
+            "traffic.sessions",
+            "traffic.packets",
+            "assembler.flows",
+            "campaign.job.flows",
+            "campaign.labeled_flows",
+        ]
+        .map(|name| snap.counter(name).unwrap_or_else(|| panic!("{name} not counted")));
+        assert_eq!(counts[1], out.packets as u64 - out.runs[0].trace.len() as u64);
+        assert_eq!(counts[2..4], [out.flows.len() as u64; 2]);
+        assert_eq!(counts[4], out.labeled_flows as u64);
+        counts
+    };
+    assert_eq!(record(1), record(4));
+    assert!(csb_obs::flush_spans().is_empty(), "global recorder caught scoped spans");
+    assert!(csb_obs::snapshot_metrics().counters.is_empty(), "global recorder caught metrics");
 }

@@ -5,11 +5,17 @@
 //! key determines the originator. TCP flows close on handshake-teardown or
 //! RST (after an idle timeout flushes stragglers); UDP/ICMP streams close on
 //! idle timeout. `finish()` flushes everything still open.
+//!
+//! Flows of different keys never interact, so
+//! [`FlowAssembler::assemble_partitioned`] splits a capture by key hash into
+//! a *partition count* of independent assemblers run on the rayon pool — not
+//! a thread count: the pool's width decides what runs at once.
 
 use crate::flow::{FlowRecord, Protocol, TcpConnState};
 use crate::packet::{Packet, TcpFlags};
 use crate::tcp::{Direction, TcpTracker};
-use std::collections::HashMap;
+use rayon::prelude::*;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Canonical bidirectional 5-tuple key. The originator's orientation is
 /// stored in the builder; the key itself is direction-agnostic so replies
@@ -45,30 +51,23 @@ impl FlowKey {
         }
     }
 
-    /// Stable partition index for parallel assembly: FNV-1a over the
-    /// canonical tuple, independent of `HashMap`'s per-process hasher.
-    fn partition(&self, workers: usize) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for b in self.lo_ip.to_le_bytes() {
-            mix(b);
-        }
-        for b in self.hi_ip.to_le_bytes() {
-            mix(b);
-        }
-        for b in self.lo_port.to_le_bytes() {
-            mix(b);
-        }
-        for b in self.hi_port.to_le_bytes() {
-            mix(b);
-        }
-        mix(self.protocol.number());
-        (h % workers.max(1) as u64) as usize
+    /// Stable partition id for partitioned assembly, independent of
+    /// `HashMap`'s per-process hasher: two multiplies over the tuple packed
+    /// into two words, the high bits scaled onto `0..partitions`.
+    fn partition(&self, partitions: usize) -> PartitionId {
+        let ips = (self.lo_ip as u64) << 32 | self.hi_ip as u64;
+        let rest = (self.lo_port as u64) << 24
+            | (self.hi_port as u64) << 8
+            | self.protocol.number() as u64;
+        let h =
+            (ips.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ rest).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        (((h >> 32) * partitions as u64) >> 32) as PartitionId
     }
 }
+
+/// One id per packet in [`FlowAssembler::assemble_partitioned`]; its range
+/// caps the partition count.
+type PartitionId = u8;
 
 /// The deterministic total order of assembled flow streams: no two distinct
 /// flows can share all six fields (same key at the same instant would be one
@@ -212,19 +211,21 @@ impl FlowAssembler {
     /// Observes one packet.
     pub fn push(&mut self, p: &Packet) {
         self.now = self.now.max(p.ts_micros);
-        let key = FlowKey::of(p);
-        // A packet landing on an idle-expired stream starts a new flow.
-        if let Some(existing) = self.active.get(&key) {
-            if p.ts_micros.saturating_sub(existing.last_ts) > self.idle_timeout_micros {
-                let done = self.active.remove(&key).expect("entry exists");
-                self.completed.push(done.build());
+        match self.active.entry(FlowKey::of(p)) {
+            Entry::Occupied(mut slot) => {
+                let builder = slot.get_mut();
+                // A packet landing on an idle-expired stream starts a new flow.
+                if p.ts_micros.saturating_sub(builder.last_ts) > self.idle_timeout_micros {
+                    self.completed.push(builder.build());
+                    *builder = FlowBuilder::start(p);
+                }
+                builder.add(p);
+                if p.protocol == Protocol::Tcp && builder.is_tcp_closed() {
+                    self.completed.push(slot.remove().build());
+                }
             }
-        }
-        let entry = self.active.entry(key).or_insert_with(|| FlowBuilder::start(p));
-        entry.add(p);
-        if p.protocol == Protocol::Tcp && entry.is_tcp_closed() {
-            let done = self.active.remove(&key).expect("entry exists");
-            self.completed.push(done.build());
+            // No TCP state closes a connection on its first packet.
+            Entry::Vacant(slot) => slot.insert(FlowBuilder::start(p)).add(p),
         }
         // Amortized timeout sweep so long traces do not accumulate unbounded
         // idle UDP streams.
@@ -245,38 +246,42 @@ impl FlowAssembler {
         a.finish()
     }
 
-    /// Parallel assembly over `workers` threads, byte-identical to
-    /// [`FlowAssembler::assemble`] for every worker count.
+    /// Assembly in `workers` partitions on the ambient rayon pool,
+    /// byte-identical to [`FlowAssembler::assemble`] for every count.
     ///
-    /// Flow construction is per-key independent (timeout splits compare a
-    /// packet's timestamp against the *same key's* last packet, never
-    /// another flow's), so packets are partitioned by a stable hash of the
-    /// canonical 5-tuple, each partition is assembled independently, and the
-    /// concatenation is re-sorted with the same total order `finish()` uses.
+    /// `workers` is a partition count, not a thread count: the pool decides
+    /// how many partitions run at once, and counts beyond what a
+    /// [`PartitionId`] holds are clamped. Flow construction is per-key
+    /// independent (timeout splits compare a packet's timestamp against the
+    /// *same key's* last packet, never another flow's), so each packet gets
+    /// a partition id from a stable hash of its canonical 5-tuple, each
+    /// partition's assembler walks the shared slice and pushes only its own
+    /// packets — nothing is copied — and the concatenation is re-sorted with
+    /// the same total order `finish()` uses. Every partition reads every id,
+    /// so a count far beyond the pool's width buys passes, not speed.
     pub fn assemble_partitioned(packets: &[Packet], workers: usize) -> Vec<FlowRecord> {
         if workers <= 1 {
             return Self::assemble(packets);
         }
         let _span = csb_obs::span_cat("assembler.assemble_partitioned", "net");
-        let mut buckets: Vec<Vec<Packet>> = vec![Vec::new(); workers];
-        for p in packets {
-            buckets[FlowKey::of(p).partition(workers)].push(*p);
-        }
-        // Spawned threads do not inherit the caller's recorder scope.
+        let partitions = workers.min(PartitionId::MAX as usize + 1);
+        let ids: Vec<PartitionId> =
+            packets.par_iter().map(|p| FlowKey::of(p).partition(partitions)).collect();
+        // Pool threads do not inherit the caller's recorder scope.
         let recorder = csb_obs::recorder::current();
-        let mut out: Vec<FlowRecord> = std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|b| {
-                    let recorder = recorder.clone();
-                    s.spawn(move || {
-                        let _obs_scope = recorder.install();
-                        Self::assemble(&b)
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("assembler worker panicked")).collect()
-        });
+        let mut out: Vec<FlowRecord> = (0..partitions)
+            .into_par_iter()
+            .flat_map_iter(|partition| {
+                let _obs_scope = recorder.install();
+                let mut assembler = FlowAssembler::new();
+                for (p, &id) in packets.iter().zip(&ids) {
+                    if id as usize == partition {
+                        assembler.push(p);
+                    }
+                }
+                assembler.finish()
+            })
+            .collect();
         out.sort_unstable_by_key(flow_sort_key);
         out
     }
@@ -293,12 +298,13 @@ impl FlowAssembler {
     /// Closes every active stream idle for longer than the timeout.
     fn sweep_idle(&mut self) {
         let cutoff = self.now.saturating_sub(self.idle_timeout_micros);
-        let expired: Vec<FlowKey> =
-            self.active.iter().filter(|(_, b)| b.last_ts < cutoff).map(|(&k, _)| k).collect();
-        for k in expired {
-            let b = self.active.remove(&k).expect("key collected above");
-            self.completed.push(b.build());
-        }
+        self.active.retain(|_, builder| {
+            let live = builder.last_ts >= cutoff;
+            if !live {
+                self.completed.push(builder.build());
+            }
+            live
+        });
     }
 
     /// Takes the flows completed so far.
@@ -458,6 +464,73 @@ mod tests {
             let par = FlowAssembler::assemble_partitioned(&pkts, workers);
             assert_eq!(par, sequential, "workers={workers} diverged");
         }
+    }
+
+    #[test]
+    fn a_worker_is_a_partition_not_a_thread() {
+        // One OS thread a worker used to take the process down here.
+        let mut pkts = Vec::new();
+        for i in 0..300u16 {
+            pkts.extend(tcp_session(i as u64 * 700, A, 20_000 + i, B, 443));
+            pkts.push(Packet::udp(i as u64 * 900, B, 53, A, 30_000 + i, 60));
+        }
+        pkts.sort_by_key(|p| p.ts_micros);
+        let sequential = FlowAssembler::assemble(&pkts);
+        assert_eq!(sequential.len(), 600);
+        for workers in [PartitionId::MAX as usize + 1, 100_000] {
+            assert_eq!(FlowAssembler::assemble_partitioned(&pkts, workers), sequential);
+        }
+    }
+
+    #[test]
+    fn push_by_push_takes_every_table_arm() {
+        let idle = FlowAssembler::DEFAULT_IDLE_TIMEOUT_MICROS;
+        let reuse = 4 * idle;
+        let mut pkts = vec![
+            // Vacant, then occupied; the same key again past the idle
+            // timeout splits in place while the key stays live.
+            Packet::udp(0, A, 5353, B, 53, 60),
+            Packet::udp(1_000, B, 53, A, 5353, 300),
+            Packet::udp(2 * idle, A, 5353, B, 53, 61),
+            // A SYN answered by RST closes on its second packet and leaves
+            // the table through the slot.
+            Packet::tcp(3 * idle, A, 1234, B, 23, TcpFlags::SYN, 0),
+            Packet::tcp(3 * idle + 50, B, 23, A, 1234, TcpFlags::RST | TcpFlags::ACK, 0),
+        ];
+        // A full session closes on FIN; the 5-tuple is vacant again for the
+        // next one.
+        pkts.extend(tcp_session(reuse, A, 40_000, B, 80));
+        pkts.extend(tcp_session(reuse + 1_000, A, 40_000, B, 80));
+
+        let mut asm = FlowAssembler::new();
+        let mut seen = Vec::new();
+        let mut step = |asm: &mut FlowAssembler, p: &Packet, active: usize, completed: usize| {
+            asm.push(p);
+            let done = asm.drain_completed();
+            assert_eq!((asm.active_len(), done.len()), (active, completed), "at {p:?}");
+            seen.extend(done);
+        };
+        step(&mut asm, &pkts[0], 1, 0);
+        step(&mut asm, &pkts[1], 1, 0);
+        step(&mut asm, &pkts[2], 1, 1);
+        step(&mut asm, &pkts[3], 2, 0);
+        step(&mut asm, &pkts[4], 1, 1);
+        for session in [&pkts[5..12], &pkts[12..19]] {
+            for p in &session[..6] {
+                step(&mut asm, p, 2, 0);
+            }
+            step(&mut asm, &session[6], 1, 1);
+        }
+        assert_eq!((seen[0].out_pkts, seen[0].in_pkts, seen[0].in_bytes), (1, 1, 300));
+        assert_eq!(seen[1].state, TcpConnState::Rej);
+        assert_eq!((seen[2].state, seen[3].state), (TcpConnState::Sf, TcpConnState::Sf));
+        assert_eq!(seen[3].first_ts_micros, reuse + 1_000);
+
+        seen.extend(asm.finish());
+        seen.sort_unstable_by_key(flow_sort_key);
+        assert_eq!(seen.len(), 5);
+        assert_eq!(seen[1].out_bytes, 61, "the split's second half flushes at finish");
+        assert_eq!(seen, FlowAssembler::assemble(&pkts));
     }
 
     #[test]

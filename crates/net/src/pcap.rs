@@ -85,7 +85,7 @@ fn encode_frame(p: &Packet) -> Vec<u8> {
     // IPv4 header (20 bytes, no options).
     f.put_u8(0x45); // version 4, IHL 5
     f.put_u8(0); // DSCP/ECN
-    f.put_u16(p.wire_len() as u16); // total length (clamped to u16 naturally)
+    f.put_u16(saturate_u16(p.wire_len())); // total length
     f.put_u16(0); // identification
     f.put_u16(0x4000); // don't fragment
     f.put_u8(64); // TTL
@@ -108,7 +108,7 @@ fn encode_frame(p: &Packet) -> Vec<u8> {
         Protocol::Udp => {
             f.put_u16(p.src_port);
             f.put_u16(p.dst_port);
-            f.put_u16(8 + p.payload_len as u16);
+            f.put_u16(saturate_u16(p.payload_len.saturating_add(8)));
             f.put_u16(0); // checksum
         }
         Protocol::Icmp => {
@@ -120,6 +120,12 @@ fn encode_frame(p: &Packet) -> Vec<u8> {
     }
     f.truncate(SNAPLEN as usize);
     f
+}
+
+/// A 16-bit header length field for a length that may not fit one: jumbo
+/// payloads saturate (readers recover the true length from `orig_len`).
+fn saturate_u16(len: u32) -> u16 {
+    u16::try_from(len).unwrap_or(u16::MAX)
 }
 
 /// Reads a whole classic-pcap byte stream back into packets.
@@ -299,6 +305,23 @@ mod tests {
         write_pcap(&mut bytes, &p).expect("write");
         let parsed = read_pcap(&bytes[..]).expect("read");
         assert_eq!(parsed[0].payload_len, 1_000_000);
+    }
+
+    #[test]
+    fn udp_length_fields_saturate_past_u16() {
+        // 65 528 is the first payload whose UDP length (8 + payload) leaves
+        // 16 bits; the fields saturate and `orig_len` still carries the truth.
+        for payload in [65_527u32, 65_528, 70_000] {
+            let p = vec![Packet::udp(0, ip(1, 1, 1, 1), 9, ip(2, 2, 2, 2), 53, payload)];
+            let mut bytes = Vec::new();
+            write_pcap(&mut bytes, &p).expect("write");
+            assert_eq!(read_pcap(&bytes[..]).expect("read"), p, "payload {payload}");
+            let frame = &bytes[24 + 16..];
+            let ip_total = u16::from_be_bytes([frame[16], frame[17]]);
+            let udp_len = u16::from_be_bytes([frame[38], frame[39]]);
+            assert_eq!(ip_total as u32, (28 + payload).min(65_535));
+            assert_eq!(udp_len as u32, (8 + payload).min(65_535));
+        }
     }
 
     #[test]

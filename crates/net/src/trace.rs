@@ -1,4 +1,9 @@
 //! A captured trace: time-ordered packets plus ground-truth attack labels.
+//!
+//! The order contract is global stable order by timestamp, ties in emission
+//! order. [`Trace::sort`] establishes it; [`Trace::merge_sorted`] keeps it
+//! between two traces that already have it, moving whole runs, so its cost
+//! is the stretch where the two overlap rather than their combined length.
 
 use self::summaries::TraceSummary;
 use crate::packet::Packet;
@@ -113,28 +118,13 @@ impl Trace {
     /// Both inputs must already be sorted by timestamp (the documented trace
     /// invariant); the merge is a stable two-way merge, so on timestamp ties
     /// `self`'s packets precede `other`'s and each side keeps its internal
-    /// order. This is O(n + m) — the campaign scheduler uses it to interleave
-    /// stage traces without a full re-sort.
+    /// order. The cost is the overlap, not the sum: `self`'s packets at or
+    /// before `other`'s first timestamp are never touched, and from there
+    /// whole runs of either side move with one block copy each — the
+    /// campaign scheduler interleaves stage traces, and the simulator its
+    /// sorted parts, without a full re-sort.
     pub fn merge_sorted(&mut self, other: Trace) {
-        debug_assert!(self.packets.windows(2).all(|w| w[0].ts_micros <= w[1].ts_micros));
-        debug_assert!(other.packets.windows(2).all(|w| w[0].ts_micros <= w[1].ts_micros));
-        let left = std::mem::take(&mut self.packets);
-        self.packets = Vec::with_capacity(left.len() + other.packets.len());
-        let (mut a, mut b) = (left.into_iter().peekable(), other.packets.into_iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => {
-                    if x.ts_micros <= y.ts_micros {
-                        self.packets.push(a.next().expect("peeked"));
-                    } else {
-                        self.packets.push(b.next().expect("peeked"));
-                    }
-                }
-                (Some(_), None) => self.packets.extend(a.by_ref()),
-                (None, Some(_)) => self.packets.extend(b.by_ref()),
-                (None, None) => break,
-            }
-        }
+        merge_packets(&mut self.packets, &other.packets);
         self.labels.extend(other.labels);
     }
 
@@ -160,6 +150,81 @@ impl Trace {
     pub fn summary(&self) -> TraceSummary {
         TraceSummary::of(self)
     }
+}
+
+/// Stable merge of the sorted `src` into the sorted `dst`, ties keeping
+/// `dst`'s packets first.
+///
+/// Only `dst`'s tail past `src`'s first timestamp takes part. A tail longer
+/// than `src` (a capture absorbing an attack trace) is merged in place from
+/// the back, so nothing but `src`'s length is allocated; a shorter one (a
+/// capture absorbing its next sorted part) is set aside and both are appended
+/// forward, so the long side is copied once.
+fn merge_packets(dst: &mut Vec<Packet>, src: &[Packet]) {
+    debug_assert!(dst.windows(2).all(|w| w[0].ts_micros <= w[1].ts_micros));
+    debug_assert!(src.windows(2).all(|w| w[0].ts_micros <= w[1].ts_micros));
+    let Some(first) = src.first() else { return };
+    let start = dst.partition_point(|p| p.ts_micros <= first.ts_micros);
+    let tail_len = dst.len() - start;
+    if tail_len > src.len() {
+        // Back to front: `write` is where the next (latest) run ends; the
+        // gap between the unmerged tail and `write` is always `j` wide.
+        dst.extend_from_slice(src);
+        let (mut i, mut j, mut write) = (tail_len, src.len(), dst.len());
+        while j > 0 && i > 0 {
+            let (left, right) = (dst[start + i - 1].ts_micros, src[j - 1].ts_micros);
+            if right >= left {
+                let run = run_len(j, |k| src[j - 1 - k].ts_micros >= left);
+                dst[write - run..write].copy_from_slice(&src[j - run..j]);
+                (j, write) = (j - run, write - run);
+            } else {
+                let run = run_len(i, |k| dst[start + i - 1 - k].ts_micros > right);
+                dst.copy_within(start + i - run..start + i, write - run);
+                (i, write) = (i - run, write - run);
+            }
+        }
+        dst[start..start + j].copy_from_slice(&src[..j]);
+    } else {
+        let tail = dst.split_off(start);
+        dst.reserve(tail.len() + src.len());
+        let (mut i, mut j) = (0, 0);
+        while i < tail.len() && j < src.len() {
+            let (left, right) = (tail[i].ts_micros, src[j].ts_micros);
+            if left <= right {
+                let run = run_len(tail.len() - i, |k| tail[i + k].ts_micros <= right);
+                dst.extend_from_slice(&tail[i..i + run]);
+                i += run;
+            } else {
+                let run = run_len(src.len() - j, |k| src[j + k].ts_micros < left);
+                dst.extend_from_slice(&src[j..j + run]);
+                j += run;
+            }
+        }
+        dst.extend_from_slice(&tail[i..]);
+        dst.extend_from_slice(&src[j..]);
+    }
+}
+
+/// How many of the positions `0..n` the monotone `holds` (true, then false)
+/// accepts: a galloping search — double the step until it fails, then binary
+/// search inside the last step — so a run costs the log of its own length,
+/// not of what remains.
+fn run_len(n: usize, holds: impl Fn(usize) -> bool) -> usize {
+    let (mut lo, mut step) = (0, 1);
+    while lo + step <= n && holds(lo + step - 1) {
+        lo += step;
+        step *= 2;
+    }
+    let mut hi = (lo + step - 1).min(n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// Summary statistics live in a sibling module to keep this one small.

@@ -1,5 +1,9 @@
 //! The benign traffic simulator: schedules application sessions over a
 //! simulated capture window and expands each into a packet exchange.
+//!
+//! Arrivals are one serial RNG stream; every session has a stream of its own,
+//! so [`TrafficSim::generate`] emits sessions in fixed-size parts on the rayon
+//! pool and merges the sorted parts — the trace is identical at any width.
 
 use crate::flow::Protocol;
 use crate::packet::{Packet, TcpFlags};
@@ -10,6 +14,11 @@ use csb_stats::rng::rng_for;
 use csb_stats::Exponential;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use rayon::prelude::*;
+
+/// Sessions emitted and sorted as one task. Fixed, not derived from the pool
+/// width, so the parts and their merge order are the same on every machine.
+const SESSIONS_PER_PART: usize = 2048;
 
 /// Time-of-day modulation of the session arrival rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,9 +106,17 @@ impl TrafficSim {
 
     /// Generates the benign trace. Non-constant rate profiles are realized
     /// by thinning a homogeneous Poisson process at the peak rate.
+    ///
+    /// The arrival process is drawn serially from the master stream; the
+    /// sessions, each under its own `rng_for(seed, session_idx)`, are emitted
+    /// and stably sorted in parts of [`SESSIONS_PER_PART`] on the ambient
+    /// rayon pool, and the parts folded left to right with
+    /// [`Trace::merge_sorted`]. Stable part sorts under left-first stable
+    /// merges are the stable sort of the whole emission, so the trace is
+    /// ordered by timestamp with ties in emission order — the same bytes at
+    /// every pool width.
     pub fn generate(&self) -> Trace {
         let _span = csb_obs::span_cat("traffic.generate", "net");
-        let mut trace = Trace::new();
         let mut rng = rng_for(self.cfg.seed, 0);
         let peak = match self.cfg.rate_profile {
             RateProfile::Constant => self.cfg.sessions_per_sec,
@@ -109,7 +126,9 @@ impl TrafficSim {
         let arrivals = Exponential::new(peak);
         let horizon = (self.cfg.duration_secs * 1e6) as u64;
         let mut clock = 0.0f64;
-        let mut session_idx = 1u64;
+        // Start time of each accepted session; session `k` here runs under
+        // RNG stream `k + 1` (stream 0 is the arrival process).
+        let mut starts: Vec<u64> = Vec::new();
         loop {
             clock += arrivals.sample(&mut rng) * 1e6;
             let start = clock as u64;
@@ -124,16 +143,32 @@ impl TrafficSim {
             {
                 continue;
             }
-            let mut session_rng = rng_for(self.cfg.seed, session_idx);
-            session_idx += 1;
-            self.emit_session(start, &mut session_rng, &mut trace);
+            starts.push(start);
         }
-        trace.sort();
-        csb_obs::counter_add("traffic.sessions", session_idx - 1);
+        let parts: Vec<Trace> = starts
+            .par_chunks(SESSIONS_PER_PART)
+            .enumerate()
+            .map(|(part, starts)| {
+                let mut trace = Trace::new();
+                let first_idx = (part * SESSIONS_PER_PART + 1) as u64;
+                for (session_idx, &start) in (first_idx..).zip(starts) {
+                    let mut session_rng = rng_for(self.cfg.seed, session_idx);
+                    self.emit_session(start, &mut session_rng, &mut trace);
+                }
+                trace.sort();
+                trace
+            })
+            .collect();
+        let mut trace = Trace::new();
+        trace.packets.reserve_exact(parts.iter().map(Trace::len).sum());
+        for part in parts {
+            trace.merge_sorted(part);
+        }
+        csb_obs::counter_add("traffic.sessions", starts.len() as u64);
         csb_obs::counter_add("traffic.packets", trace.packets.len() as u64);
         csb_obs::obs_debug!(
             "traffic: {} sessions, {} packets over {:.0}s",
-            session_idx - 1,
+            starts.len(),
             trace.packets.len(),
             self.cfg.duration_secs
         );
@@ -315,6 +350,62 @@ mod tests {
         assert_eq!(a.packets, b.packets);
         let c = TrafficSim::new(small_cfg(2)).generate();
         assert_ne!(a.packets, c.packets);
+    }
+
+    /// `generate` as it was before parts: every session emitted serially
+    /// into one trace, then one stable sort.
+    fn serial_reference(sim: &TrafficSim) -> Trace {
+        let cfg = &sim.cfg;
+        let mut trace = Trace::new();
+        let mut rng = rng_for(cfg.seed, 0);
+        let peak = match cfg.rate_profile {
+            RateProfile::Constant => cfg.sessions_per_sec,
+            RateProfile::Diurnal { depth, .. } => cfg.sessions_per_sec * (1.0 + depth),
+        };
+        let arrivals = Exponential::new(peak);
+        let horizon = (cfg.duration_secs * 1e6) as u64;
+        let mut clock = 0.0f64;
+        let mut session_idx = 1u64;
+        loop {
+            clock += arrivals.sample(&mut rng) * 1e6;
+            let start = clock as u64;
+            if start >= horizon {
+                break;
+            }
+            if cfg.rate_profile != RateProfile::Constant
+                && rng.gen::<f64>() >= sim.rate_at(clock / 1e6) / peak
+            {
+                continue;
+            }
+            sim.emit_session(start, &mut rng_for(cfg.seed, session_idx), &mut trace);
+            session_idx += 1;
+        }
+        trace.sort();
+        trace
+    }
+
+    #[test]
+    fn sorted_parts_match_one_serial_sort_at_every_pool_width() {
+        for rate_profile in
+            [RateProfile::Constant, RateProfile::Diurnal { depth: 0.6, period_secs: 40.0 }]
+        {
+            let sim = TrafficSim::new(TrafficSimConfig {
+                duration_secs: 200.0,
+                sessions_per_sec: 45.0,
+                rate_profile,
+                seed: 77,
+                ..TrafficSimConfig::default()
+            });
+            let reference = serial_reference(&sim);
+            let sessions = reference.packets.iter().filter(|p| p.flags.is_syn_only()).count();
+            assert!(sessions > 2 * SESSIONS_PER_PART, "{sessions} TCP sessions span < 3 parts");
+            for width in [1, 2, 4] {
+                let pool =
+                    rayon::ThreadPoolBuilder::new().num_threads(width).build().expect("pool");
+                let trace = pool.install(|| sim.generate());
+                assert!(trace.packets == reference.packets, "{rate_profile:?} at width {width}");
+            }
+        }
     }
 
     #[test]

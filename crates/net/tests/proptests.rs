@@ -1,11 +1,12 @@
 //! Property-based tests for the network substrate: PCAP round-tripping of
-//! arbitrary packets, filter-parser robustness, and flow-assembly
-//! conservation laws.
+//! arbitrary packets, filter-parser robustness, flow-assembly conservation
+//! laws, and the run merge against the stable sort it replaces.
 
 use csb_net::filter::Filter;
 use csb_net::flow::Protocol;
 use csb_net::packet::{Packet, TcpFlags};
 use csb_net::pcap::{read_pcap, write_pcap};
+use csb_net::trace::{AttackKind, AttackLabel, Trace};
 use csb_net::FlowAssembler;
 use proptest::prelude::*;
 
@@ -44,8 +45,54 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
         })
 }
 
+/// A sorted trace whose packets carry their side and position (so equal
+/// timestamps stay distinguishable), plus one label naming the side.
+fn tagged_trace(side: u32, mut stamps: Vec<u64>) -> Trace {
+    stamps.sort_unstable();
+    let packets = stamps.iter().zip(0..).map(|(&ts, i)| Packet::icmp(ts, side, i, 8)).collect();
+    let label = AttackLabel {
+        kind: AttackKind::HostScan,
+        attacker: side,
+        victim: 0,
+        start_micros: 0,
+        end_micros: 0,
+    };
+    Trace { packets, labels: vec![label] }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `merge_sorted` is the stable sort of the concatenation, whichever
+    /// way the two sides lie: disjoint in either order, a sparse side inside
+    /// a dense one, ties across both, an empty side, and overlapping tails
+    /// longer and shorter than the incoming trace.
+    #[test]
+    fn merge_sorted_is_a_stable_sort_of_the_concatenation(
+        shape in 0usize..7,
+        mut left in prop::collection::vec(0u64..1000, 0..300),
+        mut right in prop::collection::vec(0u64..1000, 0..300),
+    ) {
+        match shape {
+            0 => right.iter_mut().for_each(|ts| *ts += 2000),
+            1 => left.iter_mut().for_each(|ts| *ts += 2000),
+            2 => right.truncate(5),
+            3 => left.truncate(5),
+            4 => left.iter_mut().chain(&mut right).for_each(|ts| *ts %= 4),
+            5 if left.len() < right.len() => left.clear(),
+            5 => right.clear(),
+            _ => {}
+        }
+        let (left, right) = (tagged_trace(1, left), tagged_trace(2, right));
+        let mut expected: Vec<Packet> =
+            left.packets.iter().chain(&right.packets).copied().collect();
+        expected.sort_by_key(|p| p.ts_micros);
+        let mut merged = left;
+        merged.merge_sorted(right);
+        prop_assert_eq!(merged.packets, expected);
+        let labelled: Vec<u32> = merged.labels.iter().map(|l| l.attacker).collect();
+        prop_assert_eq!(labelled, vec![1, 2]);
+    }
 
     /// Any packet sequence survives the on-disk PCAP format bit-for-bit.
     #[test]
