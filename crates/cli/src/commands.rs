@@ -277,7 +277,7 @@ fn seed(args: &Args) -> Result<()> {
         bundle.graph.edge_count(),
         bundle.analysis.out_degree.mean(),
         bundle.analysis.out_degree.max(),
-        bundle.analysis.properties.in_bytes.mean()
+        bundle.analysis.properties.in_bytes().mean()
     );
     Ok(())
 }

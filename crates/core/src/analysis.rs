@@ -15,26 +15,33 @@ use rand::Rng;
 
 /// The attribute model: `p(IN_BYTES)` plus `p(a | IN_BYTES)` for the other
 /// eight NetFlow attributes.
+///
+/// The fields are private because `in_bytes_bucket` is derived from the
+/// others at construction and must not go stale.
 #[derive(Debug, Clone)]
 pub struct PropertyModel {
     /// Unconditional `p(IN_BYTES)`.
-    pub in_bytes: EmpiricalDistribution,
+    in_bytes: EmpiricalDistribution,
+    /// The conditioning bucket of `in_bytes.support()[i]`, so [`Self::sample`]
+    /// buckets once per support value at construction instead of eight times
+    /// per edge (a `u64` has at most 64 buckets).
+    in_bytes_bucket: Vec<u8>,
     /// `p(PROTOCOL | IN_BYTES)` over IANA protocol numbers.
-    pub protocol: ConditionalDistribution,
+    protocol: ConditionalDistribution,
     /// `p(SRC_PORT | IN_BYTES)`.
-    pub src_port: ConditionalDistribution,
+    src_port: ConditionalDistribution,
     /// `p(DEST_PORT | IN_BYTES)`.
-    pub dst_port: ConditionalDistribution,
+    dst_port: ConditionalDistribution,
     /// `p(DURATION | IN_BYTES)` (milliseconds).
-    pub duration_ms: ConditionalDistribution,
+    duration_ms: ConditionalDistribution,
     /// `p(OUT_BYTES | IN_BYTES)`.
-    pub out_bytes: ConditionalDistribution,
+    out_bytes: ConditionalDistribution,
     /// `p(OUT_PKTS | IN_BYTES)`.
-    pub out_pkts: ConditionalDistribution,
+    out_pkts: ConditionalDistribution,
     /// `p(IN_PKTS | IN_BYTES)`.
-    pub in_pkts: ConditionalDistribution,
+    in_pkts: ConditionalDistribution,
     /// `p(STATE | IN_BYTES)` over [`TcpConnState`] codes.
-    pub state: ConditionalDistribution,
+    state: ConditionalDistribution,
 }
 
 impl PropertyModel {
@@ -46,11 +53,19 @@ impl PropertyModel {
         assert!(g.edge_count() > 0, "property model needs at least one edge");
         let props = g.edge_data();
         let in_bytes = EmpiricalDistribution::from_samples(props.iter().map(|p| p.in_bytes));
+        // The conditionals' own bucket function, so build and lookup cannot
+        // disagree.
+        let in_bytes_bucket = in_bytes
+            .support()
+            .iter()
+            .map(|&v| ConditionalDistribution::bucket_of(v) as u8)
+            .collect();
         let pairs = |f: &dyn Fn(&EdgeProperties) -> u64| {
             props.iter().map(|p| (p.in_bytes, f(p))).collect::<Vec<_>>()
         };
         PropertyModel {
             in_bytes,
+            in_bytes_bucket,
             protocol: ConditionalDistribution::from_pairs(pairs(&|p| p.protocol.number() as u64)),
             src_port: ConditionalDistribution::from_pairs(pairs(&|p| p.src_port as u64)),
             dst_port: ConditionalDistribution::from_pairs(pairs(&|p| p.dst_port as u64)),
@@ -60,6 +75,11 @@ impl PropertyModel {
             in_pkts: ConditionalDistribution::from_pairs(pairs(&|p| p.in_pkts)),
             state: ConditionalDistribution::from_pairs(pairs(&|p| p.state.code())),
         }
+    }
+
+    /// Unconditional `p(IN_BYTES)`.
+    pub fn in_bytes(&self) -> &EmpiricalDistribution {
+        &self.in_bytes
     }
 
     /// Samples one edge's attributes *independently* from the marginals —
@@ -87,21 +107,30 @@ impl PropertyModel {
 
     /// Samples one edge's attributes: `IN_BYTES` first, the rest conditioned
     /// on it (paper Fig. 1 commentary / Fig. 2 lines 15-20).
+    ///
+    /// The draw order is the byte contract of every generated graph:
+    /// `IN_BYTES`, then `PROTOCOL`, `STATE`, `SRC_PORT`, `DST_PORT`,
+    /// `DURATION`, `OUT_BYTES`, `OUT_PKTS`, `IN_PKTS`, each one alias draw
+    /// (an index, then a coin) — eighteen draws an edge. Every support value
+    /// of `IN_BYTES` came from a seed edge that populated its bucket in all
+    /// eight conditionals, so no draw here falls back to a marginal.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> EdgeProperties {
-        let in_bytes = self.in_bytes.sample(rng);
-        let protocol = Protocol::from_number(self.protocol.sample_given(in_bytes, rng) as u8)
+        let i = self.in_bytes.sample_index(rng);
+        let in_bytes = self.in_bytes.support()[i];
+        let bucket = self.in_bytes_bucket[i] as usize;
+        let protocol = Protocol::from_number(self.protocol.sample_in_bucket(bucket, rng) as u8)
             .unwrap_or(Protocol::Tcp);
-        let state = TcpConnState::from_code(self.state.sample_given(in_bytes, rng))
+        let state = TcpConnState::from_code(self.state.sample_in_bucket(bucket, rng))
             .unwrap_or(TcpConnState::Oth);
         EdgeProperties {
             protocol,
-            src_port: self.src_port.sample_given(in_bytes, rng) as u16,
-            dst_port: self.dst_port.sample_given(in_bytes, rng) as u16,
-            duration_ms: self.duration_ms.sample_given(in_bytes, rng),
-            out_bytes: self.out_bytes.sample_given(in_bytes, rng),
+            src_port: self.src_port.sample_in_bucket(bucket, rng) as u16,
+            dst_port: self.dst_port.sample_in_bucket(bucket, rng) as u16,
+            duration_ms: self.duration_ms.sample_in_bucket(bucket, rng),
+            out_bytes: self.out_bytes.sample_in_bucket(bucket, rng),
             in_bytes,
-            out_pkts: self.out_pkts.sample_given(in_bytes, rng),
-            in_pkts: self.in_pkts.sample_given(in_bytes, rng),
+            out_pkts: self.out_pkts.sample_in_bucket(bucket, rng),
+            in_pkts: self.in_pkts.sample_in_bucket(bucket, rng),
             state,
         }
     }
@@ -190,6 +219,71 @@ mod tests {
                 assert_eq!(p.dst_port, 80);
                 assert_eq!(p.state, TcpConnState::Sf);
             }
+        }
+    }
+
+    /// A seed whose `IN_BYTES` populate five buckets, with several outcomes
+    /// of every attribute inside each, so every draw decides something.
+    fn varied_seed_graph() -> NetflowGraph {
+        let mut flows = Vec::new();
+        for i in 0..400u32 {
+            let in_bytes = [40, 100, 1_500, 70_000, 1_000_000][i as usize % 5] + (i % 11) as u64;
+            let proto = if i % 3 == 0 { Protocol::Udp } else { Protocol::Tcp };
+            let mut f = flow(1 + i % 9, 20 + i % 13, in_bytes, (i % 17) as u64 * 10, proto);
+            f.src_port = 40_000 + (i % 23) as u16;
+            f.out_pkts = 1 + (i % 5) as u64;
+            flows.push(f);
+        }
+        graph_from_flows(&flows)
+    }
+
+    /// `sample` as the paper states it and as it was first written: draw
+    /// `IN_BYTES` by value, then condition each attribute on that value.
+    fn sample_by_value<R: Rng + ?Sized>(m: &PropertyModel, rng: &mut R) -> EdgeProperties {
+        let in_bytes = m.in_bytes.sample(rng);
+        let protocol = Protocol::from_number(m.protocol.sample_given(in_bytes, rng) as u8)
+            .unwrap_or(Protocol::Tcp);
+        let state = TcpConnState::from_code(m.state.sample_given(in_bytes, rng))
+            .unwrap_or(TcpConnState::Oth);
+        let src_port = m.src_port.sample_given(in_bytes, rng) as u16;
+        let dst_port = m.dst_port.sample_given(in_bytes, rng) as u16;
+        let duration_ms = m.duration_ms.sample_given(in_bytes, rng);
+        let out_bytes = m.out_bytes.sample_given(in_bytes, rng);
+        let out_pkts = m.out_pkts.sample_given(in_bytes, rng);
+        let in_pkts = m.in_pkts.sample_given(in_bytes, rng);
+        EdgeProperties {
+            protocol,
+            src_port,
+            dst_port,
+            duration_ms,
+            out_bytes,
+            in_bytes,
+            out_pkts,
+            in_pkts,
+            state,
+        }
+    }
+
+    /// Pins the draw order, which is the byte contract of every generated
+    /// graph: a reordered or added draw diverges within a few edges.
+    #[test]
+    fn sample_draws_what_conditioning_on_the_value_draws() {
+        let model = PropertyModel::from_graph(&varied_seed_graph());
+        assert!(model.protocol.populated_buckets() >= 3);
+        let mut a = rng_for(3, 0);
+        let mut b = rng_for(3, 0);
+        for edge in 0..10_000 {
+            assert_eq!(model.sample(&mut a), sample_by_value(&model, &mut b), "edge {edge}");
+        }
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "the two consumed different numbers of draws");
+    }
+
+    #[test]
+    fn stored_buckets_are_the_conditionals_buckets() {
+        let model = PropertyModel::from_graph(&varied_seed_graph());
+        assert_eq!(model.in_bytes_bucket.len(), model.in_bytes.support_len());
+        for (&value, &bucket) in model.in_bytes.support().iter().zip(&model.in_bytes_bucket) {
+            assert_eq!(bucket as usize, ConditionalDistribution::bucket_of(value), "{value}");
         }
     }
 

@@ -164,6 +164,8 @@ impl CampaignJob {
     pub fn run(self) -> Result<CampaignOutcome, CsbError> {
         let _scope = self.recorder.clone().map(|r| r.install());
         let _span = csb_obs::span_cat("campaignjob.run", "gen");
+        // Before the simulation: a refused job should cost nothing.
+        csb_store::check_shard_count(self.shards)?;
 
         let sim = TrafficSim::new(self.sim.clone());
         let mut trace = sim.generate();
@@ -255,6 +257,15 @@ mod tests {
         assert!(out.packets > 0);
         // Every campaign action assembled into exactly one labeled flow.
         assert_eq!(out.labeled_flows, out.runs[0].actions.len());
+    }
+
+    #[test]
+    fn shard_count_above_the_cap_is_a_config_error() {
+        let dir = temp_dir("shardcap");
+        let err = small_job().store(dir.join("flows")).shards(100_000).run().expect_err("cap");
+        assert!(matches!(err, CsbError::Config(_)), "got {err}");
+        assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 0, "nothing was created");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -384,6 +384,7 @@ impl<'a, 's> GenJob<'a, 's> {
             GenConfig::Pgsk(cfg) => cfg.check(),
         }
         .map_err(CsbError::Config)?;
+        csb_store::check_shard_count(self.store_opts.shards)?;
         if self.ckpt.kill_after_chunks.is_some() && self.ckpt.dir.is_none() {
             return Err(CsbError::Config(
                 "kill_after_chunks requires a checkpoint directory".into(),
@@ -803,6 +804,23 @@ mod tests {
             .run()
             .expect_err("different fraction must not resume");
         assert!(matches!(err, CsbError::Mismatch(_)), "got {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_shard_count_is_not_a_thread_bomb() {
+        // Every shard is a writer thread and a file: unchecked, a count like
+        // this one takes the process down, not just the job.
+        let seed = small_seed();
+        let cfg = PgpbaConfig { desired_size: 6000, fraction: 0.5, seed: 42 };
+        let dir = temp_dir("shardcap");
+        let job = || GenJob::pgpba(&seed, cfg).store(dir.join("x.csbshards")).shards(100_000);
+        for job in [job(), job().checkpoint(dir.join("ckpt"))] {
+            let err = job.run().expect_err("over the cap");
+            let CsbError::Config(msg) = &err else { panic!("got {err}") };
+            assert!(msg.contains(&format!("cap of {}", csb_store::MAX_SHARDS)), "{msg}");
+        }
+        assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 0, "nothing was created");
         std::fs::remove_dir_all(&dir).ok();
     }
 

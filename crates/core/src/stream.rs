@@ -43,14 +43,22 @@ pub fn attach_properties_to_sink<S: EdgeSink + ?Sized>(
         csb_obs::counter_add("resume.chunks_skipped", first_chunk as u64);
         csb_obs::status::note_resume_skip(first_chunk as u64);
     }
-    let kernel = AttachKernel::new(topo, model, seed);
-    for window in (first_chunk..kernel.chunks()).step_by(WINDOW_CHUNKS) {
-        let end = (window + WINDOW_CHUNKS).min(kernel.chunks());
-        let sampled: Vec<Vec<EdgeProperties>> =
-            (window..end).into_par_iter().map(|c| kernel.sample(c)).collect();
-        for (chunk_idx, props) in (window..end).zip(&sampled) {
-            let edges = chunk_idx * ATTACH_CHUNK..chunk_idx * ATTACH_CHUNK + props.len();
-            sink.push_edges(&topo.src[edges.clone()], &topo.dst[edges], props)?;
+    let kernel = AttachKernel::new(model, seed);
+    let first_edge = (first_chunk * ATTACH_CHUNK).min(topo.edge_count());
+    let (src, dst) = (&topo.src[first_edge..], &topo.dst[first_edge..]);
+    // One window buffer for the whole job; every pass overwrites its live
+    // prefix, which only the last window makes shorter.
+    let window_edges = WINDOW_CHUNKS * ATTACH_CHUNK;
+    let mut buffer = vec![EdgeProperties::placeholder(); window_edges.min(src.len())];
+    for (w, (src, dst)) in src.chunks(window_edges).zip(dst.chunks(window_edges)).enumerate() {
+        let live = &mut buffer[..src.len()];
+        let window = first_chunk + w * WINDOW_CHUNKS;
+        live.par_chunks_mut(ATTACH_CHUNK)
+            .enumerate()
+            .for_each(|(c, out)| kernel.sample_into(window + c, out));
+        let endpoints = src.chunks(ATTACH_CHUNK).zip(dst.chunks(ATTACH_CHUNK));
+        for ((src, dst), props) in endpoints.zip(live.chunks(ATTACH_CHUNK)) {
+            sink.push_edges(src, dst, props)?;
         }
     }
     csb_obs::counter_add("attach.edges", topo.edge_count() as u64);

@@ -7,7 +7,7 @@
 
 use crate::analysis::PropertyModel;
 use csb_graph::graph::VertexId;
-use csb_graph::NetflowGraph;
+use csb_graph::{EdgeProperties, NetflowGraph};
 use csb_stats::rng::rng_for;
 use rayon::prelude::*;
 
@@ -103,7 +103,6 @@ pub(crate) fn vertex_ips(topo: &Topology, seed_vertex_ips: &[u32]) -> Vec<u32> {
 pub(crate) struct AttachKernel<'a> {
     model: &'a PropertyModel,
     seed: u64,
-    edge_count: usize,
     /// Rayon pool threads do not inherit the caller's recorder scope, so it
     /// is captured here and re-installed per chunk — a scoped job's chunk
     /// spans land on its own recorder, not the global one.
@@ -111,24 +110,22 @@ pub(crate) struct AttachKernel<'a> {
 }
 
 impl<'a> AttachKernel<'a> {
-    pub(crate) fn new(topo: &Topology, model: &'a PropertyModel, seed: u64) -> Self {
-        let recorder = csb_obs::recorder::current();
-        AttachKernel { model, seed, edge_count: topo.edge_count(), recorder }
+    pub(crate) fn new(model: &'a PropertyModel, seed: u64) -> Self {
+        AttachKernel { model, seed, recorder: csb_obs::recorder::current() }
     }
 
-    /// Chunks the edges cut into; the last may be short.
-    pub(crate) fn chunks(&self) -> usize {
-        self.edge_count.div_ceil(ATTACH_CHUNK)
-    }
-
-    /// Samples chunk `chunk_idx` under its own span, on whichever thread
-    /// calls, so the trace shows the fan-out per worker.
-    pub(crate) fn sample(&self, chunk_idx: usize) -> Vec<csb_graph::EdgeProperties> {
+    /// Samples chunk `chunk_idx` into `out`, the chunk's own slots of the
+    /// caller's column or window ([`ATTACH_CHUNK`] of them; the last chunk
+    /// may be short), under its own span, on whichever thread calls, so the
+    /// trace shows the fan-out per worker.
+    pub(crate) fn sample_into(&self, chunk_idx: usize, out: &mut [EdgeProperties]) {
+        debug_assert!(out.len() <= ATTACH_CHUNK, "chunk {chunk_idx} handed {} slots", out.len());
         let _scope = self.recorder.install();
         let _chunk = csb_obs::span_cat("attach.chunk", "gen");
         let mut rng = rng_for(self.seed, 0x9_0000_0000 + chunk_idx as u64);
-        let len = ATTACH_CHUNK.min(self.edge_count - chunk_idx * ATTACH_CHUNK);
-        (0..len).map(|_| self.model.sample(&mut rng)).collect()
+        for slot in out {
+            *slot = self.model.sample(&mut rng);
+        }
     }
 }
 
@@ -137,10 +134,11 @@ impl<'a> AttachKernel<'a> {
 /// final phase both generators share.
 ///
 /// `seed_vertex_ips` supplies addresses for the first vertices (see
-/// [`vertex_ips`]). Property sampling runs the [`AttachKernel`] over the
-/// pool and the graph is assembled with the bulk
-/// [`NetflowGraph::from_parts`] constructor — no per-edge `add_edge` calls, no
-/// index vector.
+/// [`vertex_ips`]). The property column is allocated once and the
+/// [`AttachKernel`] fills it in place over the pool, a chunk a task; the one
+/// serial placeholder fill is the price of doing that without `unsafe`. The
+/// graph is assembled with the bulk [`NetflowGraph::from_parts`] constructor —
+/// no per-edge `add_edge` calls, no index vector.
 pub fn attach_properties(
     topo: &Topology,
     model: &PropertyModel,
@@ -148,9 +146,9 @@ pub fn attach_properties(
     seed: u64,
 ) -> NetflowGraph {
     let _attach = csb_obs::span_cat("attach", "gen");
-    let kernel = AttachKernel::new(topo, model, seed);
-    let props: Vec<csb_graph::EdgeProperties> =
-        (0..kernel.chunks()).into_par_iter().flat_map_iter(|c| kernel.sample(c)).collect();
+    let kernel = AttachKernel::new(model, seed);
+    let mut props = vec![EdgeProperties::placeholder(); topo.edge_count()];
+    props.par_chunks_mut(ATTACH_CHUNK).enumerate().for_each(|(c, out)| kernel.sample_into(c, out));
     let src: Vec<VertexId> = topo.src.par_iter().map(|&s| VertexId(s)).collect();
     let dst: Vec<VertexId> = topo.dst.par_iter().map(|&d| VertexId(d)).collect();
     csb_obs::counter_add("attach.edges", topo.edge_count() as u64);
@@ -257,6 +255,38 @@ mod tests {
         }
         assert_eq!(src, [0, 0, 2, 2, 2, 3]);
         assert_eq!(dst, [10, 10, 12, 12, 12, 13]);
+    }
+
+    #[test]
+    fn pool_fill_equals_a_serial_loop_over_chunks() {
+        use csb_net::traffic::sim::{TrafficSim, TrafficSimConfig};
+        let sim = TrafficSimConfig {
+            duration_secs: 5.0,
+            sessions_per_sec: 10.0,
+            seed: 11,
+            ..Default::default()
+        };
+        let seed = crate::seed::seed_from_trace(&TrafficSim::new(sim).generate());
+        let model = &seed.analysis.properties;
+        for edges in [0, 1, ATTACH_CHUNK - 1, ATTACH_CHUNK + 1, 3 * ATTACH_CHUNK + 5] {
+            let topo = Topology {
+                num_vertices: 16,
+                src: (0..edges as u32).map(|i| i % 16).collect(),
+                dst: (0..edges as u32).map(|i| (i * 7 + 1) % 16).collect(),
+            };
+            let mut want = Vec::with_capacity(edges);
+            for chunk in 0..edges.div_ceil(ATTACH_CHUNK) {
+                let mut rng = rng_for(5, 0x9_0000_0000 + chunk as u64);
+                let len = ATTACH_CHUNK.min(edges - chunk * ATTACH_CHUNK);
+                want.extend((0..len).map(|_| model.sample(&mut rng)));
+            }
+            for width in [1, 2, 4] {
+                let pool =
+                    rayon::ThreadPoolBuilder::new().num_threads(width).build().expect("pool");
+                let got = pool.install(|| attach_properties(&topo, model, &[], 5));
+                assert_eq!(got.edge_data(), want, "{edges} edges at width {width}");
+            }
+        }
     }
 
     #[test]

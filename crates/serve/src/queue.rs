@@ -279,12 +279,15 @@ impl Scheduler {
         id: Option<String>,
         resume: bool,
     ) -> Result<JobRecord, Reject> {
-        if let JobSpec::Generate { shards, columnar: true, .. } = &spec {
-            if *shards < 2 {
+        if let JobSpec::Generate { shards, columnar, .. } = &spec {
+            if *columnar && *shards < 2 {
                 return Err(Reject::BadSpec(
                     "columnar codec requires shards >= 2 on a checkpointed run".into(),
                 ));
             }
+            // At the door: a worker would open the files one by one until the
+            // process ran out of descriptors.
+            csb_store::check_shard_count(*shards).map_err(|e| Reject::BadSpec(e.to_string()))?;
         }
         let predicted_gb = self.predict_gb(&spec);
         let predicted_secs = self.predict_secs(&spec);
@@ -685,6 +688,22 @@ mod tests {
         let s = sched(1, 100, 0.0);
         let r = s.admit(gen_spec(1000), Priority::Normal, None, false);
         assert!(matches!(r, Err(Reject::OverBudget { .. })), "{r:?}");
+    }
+
+    #[test]
+    fn shard_count_above_the_cap_is_rejected_at_the_door() {
+        let s = sched(1, 100, 100.0);
+        let spec = |n| {
+            let mut spec = gen_spec(10);
+            if let JobSpec::Generate { shards, .. } = &mut spec {
+                *shards = n;
+            }
+            spec
+        };
+        let r = s.admit(spec(100_000), Priority::Normal, None, false);
+        let Err(Reject::BadSpec(msg)) = &r else { panic!("{r:?}") };
+        assert!(msg.contains("cap of 256"), "{msg}");
+        assert!(s.admit(spec(csb_store::MAX_SHARDS), Priority::Normal, None, false).is_ok());
     }
 
     #[test]

@@ -83,13 +83,20 @@ impl AliasTable {
     }
 
     /// Draws an outcome index in `0..len()` in O(1).
+    ///
+    /// The coin is near fair for most columns, so a branch on it mispredicts
+    /// about every other draw. Both outcomes are loaded before the compare
+    /// and the result is a select between two values already in registers,
+    /// which the compiler can lower to a conditional move.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let i = rng.gen_range(0..self.prob.len());
-        if rng.gen::<f64>() < self.prob[i] {
+        let coin = rng.gen::<f64>();
+        let alias = self.alias[i] as usize;
+        if coin < self.prob[i] {
             i
         } else {
-            self.alias[i] as usize
+            alias
         }
     }
 }
@@ -145,6 +152,52 @@ mod tests {
         for (f, w) in freqs.iter().zip(weights.iter()) {
             let expect = w / total;
             assert!((f - expect).abs() < 0.01, "freq {f} vs expected {expect}");
+        }
+    }
+
+    /// The body `sample` had before it became a select: a branch on the coin.
+    fn branchy_sample<R: Rng + ?Sized>(t: &AliasTable, rng: &mut R) -> usize {
+        let i = rng.gen_range(0..t.prob.len());
+        if rng.gen::<f64>() < t.prob[i] {
+            i
+        } else {
+            t.alias[i] as usize
+        }
+    }
+
+    /// Same outcome for every draw and the same RNG state afterwards.
+    fn assert_select_draws_what_the_branch_drew(weights: &[f64], seed: u64) {
+        let t = AliasTable::new(weights);
+        let mut a = SmallRng::seed_from_u64(seed);
+        let mut b = a.clone();
+        for draw in 0..500 {
+            let got = t.sample(&mut a);
+            assert_eq!(got, branchy_sample(&t, &mut b), "draw {draw} of {weights:?}");
+            assert!(weights[got] > 0.0, "drew zero-weight outcome {got} of {weights:?}");
+        }
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "RNG state after {weights:?}");
+    }
+
+    #[test]
+    fn select_equals_branch_on_the_edge_cases() {
+        // A single outcome, zero weights, and columns whose `prob` is
+        // exactly 1.0 (equal weights scale to it), where `coin < prob`
+        // always keeps the column.
+        assert_eq!(AliasTable::new(&[2.0; 8]).prob, [1.0; 8]);
+        for weights in [&[3.0][..], &[1.0, 0.0, 1.0], &[0.0, 0.0, 5.0], &[2.0; 8]] {
+            assert_select_draws_what_the_branch_drew(weights, 9);
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn select_equals_branch_on_any_weights(
+            weights in proptest::collection::vec(0u32..5, 1..40),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            proptest::prop_assume!(weights.iter().any(|&w| w > 0));
+            let weights: Vec<f64> = weights.into_iter().map(f64::from).collect();
+            assert_select_draws_what_the_branch_drew(&weights, seed);
         }
     }
 

@@ -8,7 +8,6 @@
 //! 2-byte flow does not end up with a 3-hour duration.
 
 use crate::empirical::EmpiricalDistribution;
-use crate::histogram::LogHistogram;
 use rand::Rng;
 
 /// `p(target | bucket(conditioner))`, with the conditioner bucketed in powers
@@ -19,21 +18,28 @@ pub struct ConditionalDistribution {
     buckets: Vec<Option<EmpiricalDistribution>>,
     /// Marginal distribution over all observations, used as fallback.
     marginal: EmpiricalDistribution,
-    binner: LogHistogram,
 }
 
 impl ConditionalDistribution {
+    /// The bucket a conditioner value falls in: bucket `i > 0` is
+    /// `[2^i, 2^(i+1))`, bucket 0 is `{0, 1}`. The one function observations
+    /// are filed under and lookups go through; integer, so it is exact up to
+    /// `u64::MAX` and the same on every platform.
+    #[inline]
+    pub fn bucket_of(conditioner: u64) -> usize {
+        conditioner.max(1).ilog2() as usize
+    }
+
     /// Builds the conditional distribution from `(conditioner, target)`
     /// observation pairs.
     ///
     /// # Panics
     /// Panics if `pairs` is empty.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (u64, u64)>) -> Self {
-        let binner = LogHistogram::base2();
         let mut per_bucket: Vec<Vec<u64>> = Vec::new();
         let mut all: Vec<u64> = Vec::new();
         for (cond, target) in pairs {
-            let b = binner.bin_index(cond as f64);
+            let b = Self::bucket_of(cond);
             if b >= per_bucket.len() {
                 per_bucket.resize_with(b + 1, Vec::new);
             }
@@ -52,15 +58,22 @@ impl ConditionalDistribution {
                 }
             })
             .collect();
-        ConditionalDistribution { buckets, marginal, binner }
+        ConditionalDistribution { buckets, marginal }
     }
 
     /// Samples the target attribute conditioned on the given conditioner
-    /// value. Falls back to the marginal when the conditioner lands in a
-    /// bucket never observed in the seed.
+    /// value: [`Self::bucket_of`], then [`Self::sample_in_bucket`].
+    #[inline]
     pub fn sample_given<R: Rng + ?Sized>(&self, conditioner: u64, rng: &mut R) -> u64 {
-        let b = self.binner.bin_index(conditioner as f64);
-        match self.buckets.get(b) {
+        self.sample_in_bucket(Self::bucket_of(conditioner), rng)
+    }
+
+    /// Samples the target attribute within one conditioner bucket, for
+    /// callers that already know it. Falls back to the marginal for a bucket
+    /// never observed in the seed.
+    #[inline]
+    pub fn sample_in_bucket<R: Rng + ?Sized>(&self, bucket: usize, rng: &mut R) -> u64 {
+        match self.buckets.get(bucket) {
             Some(Some(d)) => d.sample(rng),
             _ => self.marginal.sample(rng),
         }
@@ -101,6 +114,27 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(6);
         // 1e6 is far beyond any observed bucket.
         assert_eq!(d.sample_given(1_000_000, &mut rng), 10);
+    }
+
+    #[test]
+    fn neighbours_across_a_high_power_of_two_do_not_share_a_bucket() {
+        // Through ln() / ln(2), 2^k - 1 lands in bucket k for every k >= 48.
+        let d = ConditionalDistribution::from_pairs([((1 << 48) - 1, 7), (1 << 48, 9)]);
+        let mut rng = SmallRng::seed_from_u64(7);
+        for _ in 0..100 {
+            assert_eq!(d.sample_given((1 << 48) - 1, &mut rng), 7);
+        }
+    }
+
+    #[test]
+    fn bucket_i_is_two_to_the_i_up_to_two_to_the_i_plus_one() {
+        for (value, bucket) in [(0, 0), (1, 0), (2, 1), (3, 1), (4, 2), (u64::MAX, 63)] {
+            assert_eq!(ConditionalDistribution::bucket_of(value), bucket, "{value}");
+        }
+        for k in 2..64 {
+            assert_eq!(ConditionalDistribution::bucket_of((1 << k) - 1), k - 1, "2^{k} - 1");
+            assert_eq!(ConditionalDistribution::bucket_of(1 << k), k, "2^{k}");
+        }
     }
 
     #[test]

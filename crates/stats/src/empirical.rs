@@ -72,7 +72,14 @@ impl EmpiricalDistribution {
     /// Draws one value in O(1).
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        self.values[self.table.sample(rng)]
+        self.values[self.sample_index(rng)]
+    }
+
+    /// Draws the index into [`Self::support`] of one value in O(1) — for
+    /// callers that keep a table of their own beside the support.
+    #[inline]
+    pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        self.table.sample(rng)
     }
 
     /// Draws one value by binary-searching the CDF — O(log n). Kept for the

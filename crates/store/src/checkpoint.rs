@@ -24,7 +24,7 @@ use crate::format::{
     corrupt, save_atomically, seal_manifest, ChunkEntry, ChunkKind, FileKind, ManifestReader,
     StoreError, CHUNK_HEADER_LEN, FILE_MAGIC, FORMAT_VERSION,
 };
-use crate::shard::{place, ShardSetManifest};
+use crate::shard::{check_shard_count, place, ShardSetManifest};
 use crate::sink::{Layout, CHUNK_RECORDS};
 use crate::write::StoreWriter;
 use std::fs::{File, OpenOptions};
@@ -235,6 +235,7 @@ fn store_files(
     shards: usize,
     compression: Compression,
 ) -> Result<StoreFiles, StoreError> {
+    check_shard_count(shards)?;
     if shards > 1 {
         let manifest = ShardSetManifest::named(path, FileKind::Graph, shards);
         return Ok((manifest.shard_paths(path), Some((path.to_path_buf(), manifest))));
@@ -652,6 +653,18 @@ mod tests {
             resume(identity(), shards, Compression::None).expect("the matching request resumes");
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn shard_count_above_the_cap_is_refused_before_any_file_exists() {
+        let dir = temp_dir("cap");
+        let (store, ckpt) = (dir.join("g.csbshards"), dir.join("ckpt"));
+        let err = CheckpointedLayout::create(&store, &ckpt, identity(), 100_000, Compression::None)
+            .expect_err("over the cap");
+        assert!(matches!(err, CsbError::Config(_)), "got {err}");
+        assert!(err.to_string().contains("cap of 256"), "got {err}");
+        assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 0, "nothing was created");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub use format::{ChunkEntry, ChunkKind, Column, EdgeRecord, FileKind, Record, St
 pub use ooc::StoreScan;
 pub use read::{ColumnBlock, StoreReader};
 pub use shard::{
-    load_graph_sharded, save_graph_sharded, save_labeled_flows_sharded, ShardSetManifest,
-    ShardedLayout, ShardedScan,
+    check_shard_count, load_graph_sharded, save_graph_sharded, save_labeled_flows_sharded,
+    ShardSetManifest, ShardedLayout, ShardedScan, MAX_SHARDS,
 };
 pub use sink::{
     load_flows, load_graph, load_labeled_flows, push_graph, save_flows, save_graph, save_graph_to,

@@ -186,6 +186,23 @@ fn spawn_shard_worker(
     })
 }
 
+/// Most files one store may be written across. Every shard is an open file
+/// with its own buffers, and in [`ShardedLayout`] a writer thread, so a count
+/// taken unchecked from a flag or a wire request exhausts the process.
+pub const MAX_SHARDS: usize = 256;
+
+/// Refuses a shard count above [`MAX_SHARDS`], before any file or thread
+/// exists.
+pub fn check_shard_count(shards: usize) -> Result<(), StoreError> {
+    if shards > MAX_SHARDS {
+        return Err(StoreError::Config(format!(
+            "{shards} shards exceed the cap of {MAX_SHARDS}: every shard is an open file and a \
+             writer thread"
+        )));
+    }
+    Ok(())
+}
+
 /// The threaded [`Layout`]: a shard set with one writer thread per shard, so
 /// encoding, CRC and I/O of different shards overlap with generation and
 /// with each other. Shard bytes depend only on the record stream, the chunk
@@ -209,6 +226,7 @@ impl ShardedLayout {
         shards: usize,
         compression: Compression,
     ) -> Result<Self, StoreError> {
+        check_shard_count(shards)?;
         let path = path.as_ref().to_path_buf();
         let manifest = ShardSetManifest::named(&path, kind, shards);
         let mut txs = Vec::with_capacity(manifest.shards.len());
@@ -480,6 +498,25 @@ mod tests {
         push_records(&mut sink, n_vertices, n_edges);
         sink.finish().expect("finish");
         manifest
+    }
+
+    #[test]
+    fn shard_count_above_the_cap_is_refused_before_any_file_exists() {
+        let dir = temp_dir("cap");
+        for shards in [MAX_SHARDS + 1, 100_000] {
+            let err = ShardedLayout::create(
+                dir.join("g.csbshards"),
+                FileKind::Graph,
+                shards,
+                Compression::None,
+            )
+            .expect_err("over the cap");
+            assert!(matches!(err, CsbError::Config(_)), "got {err}");
+            assert!(err.to_string().contains(&format!("cap of {MAX_SHARDS}")), "got {err}");
+        }
+        assert_eq!(std::fs::read_dir(&dir).expect("dir").count(), 0, "nothing was created");
+        assert!(check_shard_count(MAX_SHARDS).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "out-degree: mean {:.2}, max {}; in-bytes: mean {:.0} B, support {} values",
         seed.analysis.out_degree.mean(),
         seed.analysis.out_degree.max(),
-        seed.analysis.properties.in_bytes.mean(),
-        seed.analysis.properties.in_bytes.support_len()
+        seed.analysis.properties.in_bytes().mean(),
+        seed.analysis.properties.in_bytes().support_len()
     );
     Ok(())
 }
